@@ -235,7 +235,9 @@ class KernelProfiler:
             for cmd in cmds:
                 kernel, launch = cmd.kernel, cmd.launch
                 assert kernel is not None and launch is not None
-                cost = kernel.launch_cost(device.spec, launch)
+                cost, seconds = kernel.launch_price(
+                    device.spec, launch, cmd.args_snapshot
+                )
                 config = kernel.effective_config(dev_name, launch)
                 task = device.submit_kernel(
                     name=f"prof:{kernel.name}",
@@ -244,6 +246,7 @@ class KernelProfiler:
                     category=PROFILE_KERNEL,
                     minikernel=use_mini,
                     meta={"profiled_for": dev_name},
+                    seconds=seconds,
                 )
                 prev = [task]
                 all_tasks.append(task)

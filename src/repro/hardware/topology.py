@@ -45,11 +45,21 @@ class SimDevice:
         category: str = "kernel",
         minikernel: bool = False,
         meta: Optional[dict] = None,
+        seconds: Optional[float] = None,
     ) -> SimTask:
-        """Enqueue a kernel launch on this device's execution resource."""
-        duration = (
-            workgroup_time(self.spec, cost) if minikernel else kernel_time(self.spec, cost)
-        )
+        """Enqueue a kernel launch on this device's execution resource.
+
+        ``seconds`` is the full launch's nominal time when the caller already
+        priced it (:meth:`Kernel.launch_price
+        <repro.ocl.kernel.Kernel.launch_price>`); a minikernel launch is
+        always timed from ``cost``.
+        """
+        if minikernel:
+            duration = workgroup_time(self.spec, cost)
+        elif seconds is not None:
+            duration = seconds
+        else:
+            duration = kernel_time(self.spec, cost)
         duration *= self.slowdown
         info = {"device": self.name, "kernel": name, "minikernel": minikernel}
         if meta:

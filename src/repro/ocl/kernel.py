@@ -12,6 +12,14 @@ Timing comes from a cost model.  The default model is built from the
 ``// @multicl`` source annotations (flops/bytes per work item, divergence,
 irregularity, per-device-kind efficiency); workloads may override it with
 ``set_cost_model`` for costs that are not per-item linear.
+
+Each kernel owns one pricing table, (device, effective configuration) ->
+(:class:`KernelCost`, seconds), read by every call site that prices a
+launch: the service arbiter's backlog estimate, the issue path and the
+kernel profiler.  A distinct launch is therefore priced once per device
+for as long as the kernel lives.  Custom cost models may read the
+launch's argument snapshot, so their prices are computed per launch and
+never shared.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.hardware.cost import KernelCost
+from repro.hardware.cost import KernelCost, kernel_time
 from repro.hardware.specs import DeviceKind, DeviceSpec
 from repro.ocl.errors import (
     InvalidKernelArgs,
@@ -51,6 +59,12 @@ _EFF_KEYS = {
 
 #: (global_size, local_size) -> validated WorkGroupConfig (frozen, shared).
 _config_memo: Dict[Any, "WorkGroupConfig"] = {}
+
+#: Entries one kernel's pricing table may hold before it is cleared.  Launch
+#: loops reuse a handful of configurations; a kernel launched with ever-new
+#: sizes re-prices instead of growing without bound (re-pricing reproduces
+#: every entry exactly).
+_PRICE_TABLE_MAX = 1024
 
 
 def _prod(xs: Sequence[int]) -> int:
@@ -131,9 +145,12 @@ class Kernel:
         self.device_configs: Dict[str, WorkGroupConfig] = {}
         self._cost_model: Optional[CostModel] = None
         self.host_fn: Optional[HostFunction] = None
-        #: WorkGroupConfig -> KernelCost for the annotation cost model
-        #: (pure in config; KernelCost is frozen, so sharing is safe).
-        self._annotation_cost_memo: Dict[WorkGroupConfig, KernelCost] = {}
+        #: Pricing table for the annotation cost model: (device name,
+        #: effective config) -> (spec, cost, seconds).  Pure in its key, and
+        #: KernelCost is frozen, so every launch shares the entries.
+        self._prices: Dict[
+            Tuple[str, WorkGroupConfig], Tuple[DeviceSpec, KernelCost, float]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Standard OpenCL surface
@@ -201,6 +218,7 @@ class Kernel:
         self.device_configs[device_name] = WorkGroupConfig.normalize(
             global_size, local_size
         )
+        self._reprice_pending()
 
     def effective_config(
         self, device_name: str, launch: WorkGroupConfig
@@ -242,33 +260,58 @@ class Kernel:
     def set_cost_model(self, fn: CostModel) -> None:
         """Override the annotation-derived cost model."""
         self._cost_model = fn
+        self._prices.clear()
+        self._reprice_pending()
+
+    def _reprice_pending(self) -> None:
+        """Deferred launches of this kernel may now price differently: mark
+        every queue's pending-work sums stale."""
+        for q in self.program.context.queues:
+            q.reprice_pending()
 
     def set_host_function(self, fn: HostFunction) -> None:
         """Attach a functional numpy payload executed when the kernel runs."""
         self.host_fn = fn
 
-    def launch_cost(
-        self, spec: DeviceSpec, launch: WorkGroupConfig
-    ) -> KernelCost:
-        """Cost of launching this kernel on ``spec`` with ``launch`` config.
+    def launch_price(
+        self,
+        spec: DeviceSpec,
+        launch: WorkGroupConfig,
+        args: Optional[Dict[int, Any]] = None,
+    ) -> Tuple[KernelCost, float]:
+        """``(cost, seconds)`` of launching this kernel on ``spec``.
 
         Honours the per-device configuration override before consulting the
-        cost model.
+        pricing table.  ``args`` is the argument snapshot the launch was
+        enqueued with (default: the current arguments); only custom cost
+        models read it.
         """
-        config = self.effective_config(spec.name, launch)
-        return self.config_cost(spec, config)
+        return self.config_price(
+            spec, self.effective_config(spec.name, launch), args
+        )
 
-    def config_cost(self, spec: DeviceSpec, config: WorkGroupConfig) -> KernelCost:
-        """Cost for an explicit configuration, bypassing the per-device
-        override (work-splitting costs sub-ranges that already honoured it)."""
+    def config_price(
+        self,
+        spec: DeviceSpec,
+        config: WorkGroupConfig,
+        args: Optional[Dict[int, Any]] = None,
+    ) -> Tuple[KernelCost, float]:
+        """``(cost, seconds)`` for an explicit configuration, bypassing the
+        per-device override (work-splitting prices sub-ranges that already
+        honoured it)."""
         if self._cost_model is not None:
-            return self._cost_model(spec, config, self.args)
-        return self._annotation_cost(config)
+            cost = self._cost_model(spec, config, self.args if args is None else args)
+            return cost, kernel_time(spec, cost)
+        key = (spec.name, config)
+        entry = self._prices.get(key)
+        if entry is None or entry[0] is not spec:
+            if len(self._prices) >= _PRICE_TABLE_MAX:
+                self._prices.clear()
+            cost = self._annotation_cost(config)
+            entry = self._prices[key] = (spec, cost, kernel_time(spec, cost))
+        return entry[1], entry[2]
 
     def _annotation_cost(self, config: WorkGroupConfig) -> KernelCost:
-        cached = self._annotation_cost_memo.get(config)
-        if cached is not None:
-            return cached
         a = self.info.annotations
         if "flops_per_item" not in a and "bytes_per_item" not in a:
             raise InvalidValue(
@@ -279,7 +322,7 @@ class Kernel:
         eff = {
             kind: a[key] for key, kind in _EFF_KEYS.items() if key in a
         }
-        cost = KernelCost(
+        return KernelCost(
             flops=a.get("flops_per_item", 0.0) * items,
             bytes=a.get("bytes_per_item", 0.0) * items,
             work_items=items,
@@ -288,8 +331,6 @@ class Kernel:
             irregularity=a.get("irregularity", 0.0),
             efficiency=eff,
         )
-        self._annotation_cost_memo[config] = cost
-        return cost
 
     def run_host_function(self) -> None:
         """Execute the functional payload (if any) against current args."""

@@ -208,6 +208,9 @@ class CommandQueue:
         self.region_active = False
         #: Deferred commands awaiting a scheduler trigger.
         self.pending: List[Command] = []
+        #: device -> estimated seconds of ``pending`` on that device (see
+        #: :meth:`pending_seconds`); ``None`` = stale, rebuilt on demand.
+        self._pending_sums: Optional[Dict[str, float]] = None
         #: Tail of the issued in-order chain (in-order queues).
         self._tail: Optional["SimTask"] = None
         #: Every issued, not-yet-awaited task (finish() drains these).
@@ -405,6 +408,14 @@ class CommandQueue:
         event = Event(self, cmd)
         cmd.event = event
         if self.auto_active:
+            sums = self._pending_sums
+            if sums:
+                # Stale until every kept fold is extended: a launch the
+                # model cannot price leaves the queue consistent.
+                self._pending_sums = None
+                for dev in sums:
+                    sums[dev] += self._price(cmd, dev)
+                self._pending_sums = sums
             self.pending.append(cmd)
             scheduler = self.context.scheduler
             assert scheduler is not None
@@ -413,6 +424,53 @@ class CommandQueue:
             self._ensure_deps_issued(cmd)
             self.issue(cmd)
         return event
+
+    # ------------------------------------------------------------------
+    # Backlog estimate (the service arbiter's fair-share price)
+    # ------------------------------------------------------------------
+    def pending_seconds(self, device: str) -> float:
+        """Estimated seconds the deferred commands would take on ``device``.
+
+        The analytic model the simulator charges: kernels through the
+        kernel's pricing table, transfers through the node's link model,
+        markers and barriers free.  The sum is a left fold over
+        ``pending`` in order, kept per device once a device is first asked
+        for.  Enqueues extend every kept fold at its tail, which yields the
+        very float a fold from scratch would.  Nothing is ever subtracted:
+        issuing a command (:meth:`issue`), a fault requeue, a late
+        ``clSetKernelWorkGroupInfo`` or a new cost model marks the sums
+        stale (:meth:`reprice_pending`), and the next call refolds.
+        """
+        sums = self._pending_sums
+        if sums is None:
+            sums = self._pending_sums = {}
+        seconds = sums.get(device)
+        if seconds is None:
+            seconds = 0.0
+            for cmd in self.pending:
+                seconds += self._price(cmd, device)
+            sums[device] = seconds
+        return seconds
+
+    def reprice_pending(self) -> None:
+        """Mark the :meth:`pending_seconds` sums stale."""
+        self._pending_sums = None
+
+    def _price(self, cmd: Command, device: str) -> float:
+        """Estimated seconds ``cmd`` adds to the backlog on ``device``."""
+        node = self.context.platform.node
+        kind = cmd.kind
+        if kind is CommandKind.NDRANGE_KERNEL:
+            assert cmd.kernel is not None and cmd.launch is not None
+            spec = node.device(device).spec
+            return cmd.kernel.launch_price(spec, cmd.launch, cmd.args_snapshot)[1]
+        if kind is CommandKind.WRITE_BUFFER:
+            return node.h2d_seconds(device, cmd.nbytes)
+        if kind is CommandKind.READ_BUFFER:
+            return node.d2h_seconds(device, cmd.nbytes)
+        if kind is CommandKind.FILL_BUFFER or kind is CommandKind.COPY_BUFFER:
+            return node.d2d_seconds(device, device, cmd.nbytes)
+        return 0.0
 
     def _ensure_deps_issued(self, cmd: Command) -> None:
         """An immediate command whose wait list references deferred events
@@ -444,7 +502,11 @@ class CommandQueue:
         instead.  ``extra_deps`` *adds* dependencies on top of the normal
         chaining (used to restore cross-queue conflict ordering whose
         original happens-before path ran through a relaxed queue).
+
+        Every command leaves ``pending`` through here, so this is where the
+        backlog sums go stale.
         """
+        self._pending_sums = None
         if cmd.issued:
             raise InvalidCommandQueue(f"command {cmd.kind} issued twice")
         if not cmd.deps_ready():
@@ -555,8 +617,7 @@ class CommandQueue:
         ]
         self._check_capacity(*buffers, extra=buffers)
         migrations = self._migrations_for(buffers, deps, category="migration")
-        config = kernel.effective_config(self.device, launch)
-        cost = kernel.launch_cost(device.spec, launch)
+        cost, seconds = kernel.launch_price(device.spec, launch, cmd.args_snapshot)
         meta = {"queue": self.name, "epoch": self.epoch_index}
         if self._tenant_meta is not None:
             meta.update(self._tenant_meta)
@@ -566,6 +627,7 @@ class CommandQueue:
             deps=deps + migrations,
             category="kernel",
             meta=meta,
+            seconds=seconds,
         )
         # Functional payload runs in dependency (issue) order — see module
         # doc.  Replays after a device failure only re-charge simulated time:
@@ -579,7 +641,6 @@ class CommandQueue:
                 kernel.args = saved
         for buf in self._written_buffers(kernel, cmd.args_snapshot):
             buf.mark_exclusive(self.device)
-        del config  # config folded into cost via launch_cost
         return task
 
     def _issue_split_kernel(self, cmd: Command, deps: List["SimTask"]) -> "SimTask":
@@ -660,7 +721,7 @@ class CommandQueue:
                         )
                     )
             sub = kernel.sub_range_config(device, launch, lo, hi)
-            cost = kernel.config_cost(dev.spec, sub)
+            cost, seconds = kernel.config_price(dev.spec, sub, cmd.args_snapshot)
             meta: Dict[str, Any] = {
                 "queue": self.name,
                 "epoch": self.epoch_index,
@@ -674,6 +735,7 @@ class CommandQueue:
                 deps=deps + moves,
                 category="kernel",
                 meta=meta,
+                seconds=seconds,
             )
             gathers = [
                 node.submit_d2h(
@@ -782,6 +844,9 @@ class CommandQueue:
         """
         engine = self.context.platform.engine
         resname = f"dev:{device}"
+        # A device just failed: victims go back to the front of ``pending``
+        # and the active device set shrank, so the backlog sums are stale.
+        self._pending_sums = None
         self._inflight = [
             c
             for c in self._inflight

@@ -17,10 +17,19 @@ The algorithm is classic deficit round-robin, weighted:
 * In priority-then-round-robin order, a tenant whose deficit covers its
   pool's estimated cost dispatches the pool and pays the cost.
 * Pool cost is *estimated* with the same analytic model the simulator
-  charges (:func:`~repro.hardware.cost.kernel_time` over
-  :meth:`Kernel.launch_cost`, plus link-model transfer times), because the
+  charges (:func:`~repro.hardware.cost.kernel_time` read from each
+  kernel's pricing table, plus link-model transfer times), because the
   trace-measured usage only materializes after virtual time advances —
   fairness decisions cannot wait for it.
+* The estimate is incremental.  Each queue keeps, per device, an
+  append-only sum of its pending work
+  (:meth:`CommandQueue.pending_seconds
+  <repro.ocl.queue.CommandQueue.pending_seconds>`): an enqueue extends
+  the sum at its tail, so a round costs O(queues × devices) instead of
+  re-pricing the whole backlog.  Issue, fault requeue, a late
+  ``clSetKernelWorkGroupInfo`` or a new cost model marks the sums stale
+  and the next estimate refolds them.  Nothing is subtracted on issue, so
+  every estimate is bit-identical to a fold from scratch.
 
 Two trigger flavours:
 
@@ -44,8 +53,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.hardware.cost import kernel_time
-from repro.ocl.enums import CommandKind
+# Unused here since pricing moved to the kernels' tables, but kept
+# importable: the end-to-end benchmark's tracer (perfbench/spans.py) wraps
+# the pricing function at this lookup site too.
+from repro.hardware.cost import kernel_time  # noqa: F401
 from repro.service.admission import QuotaExceeded
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,31 +120,19 @@ class FairShareArbiter:
         the queue's current binding, so identical epochs cost identical
         credit for every tenant — binding-dependent estimates would let a
         tenant's fair-share price drift with its mapping history.
+
+        A queue's per-device cost is its append-only pending sum: extended
+        on enqueue, refolded from the kernels' pricing tables only after
+        it went stale (issue, fault requeue, late
+        ``clSetKernelWorkGroupInfo``, new cost model).  Devices are priced
+        lazily, on first demand.
         """
-        node = context.platform.node
         devices = context.active_device_names or list(context.device_names)
         total = 0.0
         for q in pool:
             best = math.inf
             for dev in devices:
-                spec = node.device(dev).spec
-                seconds = 0.0
-                for cmd in q.pending:
-                    if cmd.kind is CommandKind.NDRANGE_KERNEL:
-                        assert cmd.kernel is not None and cmd.launch is not None
-                        seconds += kernel_time(
-                            spec, cmd.kernel.launch_cost(spec, cmd.launch)
-                        )
-                    elif cmd.kind is CommandKind.WRITE_BUFFER:
-                        seconds += node.h2d_seconds(dev, cmd.nbytes)
-                    elif cmd.kind is CommandKind.READ_BUFFER:
-                        seconds += node.d2h_seconds(dev, cmd.nbytes)
-                    elif cmd.kind in (
-                        CommandKind.FILL_BUFFER, CommandKind.COPY_BUFFER
-                    ):
-                        seconds += node.d2d_seconds(dev, dev, cmd.nbytes)
-                    # markers/barriers are free
-                best = min(best, seconds)
+                best = min(best, q.pending_seconds(dev))
             total += 0.0 if best is math.inf else best
         return total
 

@@ -225,7 +225,7 @@ def test_full_profile_estimates_match_actual_execution(ctx):
     for dev_name in ctx.device_names:
         device = ctx.platform.node.device(dev_name)
         kernel, launch = cmd.kernel, cmd.launch
-        cost = kernel.launch_cost(device.spec, launch)
+        cost = kernel.launch_price(device.spec, launch)[0]
         task = device.submit_kernel("actual", cost)
         engine.run_until(task)
         assert epoch.seconds[dev_name] == pytest.approx(task.duration, rel=1e-9)

@@ -115,7 +115,7 @@ def test_set_work_group_info_overrides_launch(kernel):
 def test_annotation_cost(kernel, bare_platform):
     spec = bare_platform.device("gpu0").spec
     launch = WorkGroupConfig.normalize((1 << 16,), (128,))
-    cost = kernel.launch_cost(spec, launch)
+    cost = kernel.launch_price(spec, launch)[0]
     assert cost.flops == pytest.approx(100 * (1 << 16))
     assert cost.bytes == pytest.approx(16 * (1 << 16))
     assert cost.divergence == pytest.approx(0.2)
@@ -127,7 +127,7 @@ def test_annotation_cost_respects_device_config(kernel, bare_platform):
     spec = bare_platform.device("gpu0").spec
     kernel.set_work_group_info("gpu0", (1 << 18,), (256,))
     launch = WorkGroupConfig.normalize((1 << 16,), (64,))
-    cost = kernel.launch_cost(spec, launch)
+    cost = kernel.launch_price(spec, launch)[0]
     assert cost.work_items == 1 << 18
     assert cost.workgroup_size == 256
 
@@ -136,7 +136,7 @@ def test_unannotated_kernel_without_cost_model_rejected(program, bare_platform):
     bare = program.create_kernel("bare")
     spec = bare_platform.device("cpu").spec
     with pytest.raises(InvalidValue):
-        bare.launch_cost(spec, WorkGroupConfig.normalize((64,)))
+        bare.launch_price(spec, WorkGroupConfig.normalize((64,)))[0]
 
 
 def test_custom_cost_model(program, bare_platform):
@@ -147,7 +147,7 @@ def test_custom_cost_model(program, bare_platform):
         return KernelCost(flops=42.0, bytes=7.0, work_items=config.work_items)
 
     bare.set_cost_model(model)
-    cost = bare.launch_cost(spec, WorkGroupConfig.normalize((64,)))
+    cost = bare.launch_price(spec, WorkGroupConfig.normalize((64,)))[0]
     assert cost.flops == 42.0
 
 
