@@ -17,6 +17,15 @@ that graph for a pool of queues holding deferred commands, in two views:
   order; out-of-order queues order only around barriers; wait lists order
   producer before waiter.  Two commands touching the same buffer with no
   happens-before path between them race.
+
+Alongside both views the graph keeps a **per-buffer access index**
+(:attr:`CommandGraph.buffers`): for every buffer the pool touches, the
+nodes that write it and the nodes that only read it, in node order.  It is
+the one definition of a *conflict* — same buffer, at least one writer —
+shared by the sanitizer (:mod:`repro.analysis.validator`) and the overlap
+relaxer (:mod:`repro.ocl.overlap`).  Building it costs O(accesses) and
+listing the conflicting pairs O(pairs) plus one sort, in place of a scan
+over all n² node pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.memory import Buffer
     from repro.ocl.queue import Command, CommandQueue
 
-__all__ = ["CommandNode", "CommandGraph", "build_command_graph"]
+__all__ = ["BufferAccess", "CommandNode", "CommandGraph", "build_command_graph",
+           "reach_masks"]
 
 
 @dataclass
@@ -42,13 +52,63 @@ class CommandNode:
     queue: "CommandQueue"
     position: int  # position within queue.pending
     command: "Command"
-    label: str
     reads: Tuple["Buffer", ...]
     writes: Tuple["Buffer", ...]
     #: node indexes this command must wait for before it can *issue*
     blocks_on: List[int] = field(default_factory=list)
     #: node indexes guaranteed to execute *after* this command
     hb_succ: List[int] = field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return f"{self.queue.name}[{self.position}]:{self.command.kind.value}"
+
+
+@dataclass
+class BufferAccess:
+    """Who touches one buffer in the pool, in node order."""
+
+    buffer: "Buffer"
+    #: nodes that write the buffer (whether or not they also read it)
+    writers: List[int] = field(default_factory=list)
+    #: nodes that only read the buffer
+    readers: List[int] = field(default_factory=list)
+
+    def conflict_pairs(self) -> List[Tuple[int, int]]:
+        """Sorted ``(i, j)`` node pairs, ``i < j``, with at least one writer."""
+        pairs = []
+        writers, readers = self.writers, self.readers
+        for k, w in enumerate(writers):
+            pairs.extend((w, x) for x in writers[k + 1:])
+            pairs.extend((w, r) if w < r else (r, w) for r in readers)
+        pairs.sort()
+        return pairs
+
+
+def reach_masks(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Per-node bitmask of the nodes transitively reachable over ``succ``
+    (a node's own bit is never set)."""
+    n = len(succ)
+    masks = [0] * n
+    # Highest index first: program-order edges point forward, so most
+    # walks stop at their first successor, whose mask is already known.
+    for start in range(n - 1, -1, -1):
+        seen = 1 << start
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            # Reuse already-computed masks (cur > start is complete).
+            done = masks[cur]
+            if cur != start and done:
+                seen |= done
+                continue
+            for nxt in succ[cur]:
+                bit = 1 << nxt
+                if not seen & bit:
+                    seen |= bit
+                    stack.append(nxt)
+        masks[start] = seen & ~(1 << start)
+    return masks
 
 
 @dataclass
@@ -60,42 +120,34 @@ class CommandGraph:
     #: lists: the event's command is neither issued nor pending on any
     #: pooled queue, so the waiter can never become ready.
     orphans: List[Tuple[CommandNode, "Event"]]
+    #: per-buffer access index, keyed by ``id(buffer)`` in first-touch order
+    buffers: Dict[int, BufferAccess] = field(default_factory=dict)
+
+    def conflict_pairs(self) -> List[Tuple[int, int]]:
+        """Every ``(i, j)`` node pair, ``i < j``, sharing a buffer that at
+        least one of them writes; deduplicated and sorted ascending."""
+        pairs = set()
+        for access in self.buffers.values():
+            pairs.update(access.conflict_pairs())
+        return sorted(pairs)
 
     # -- reachability over happens-before edges -------------------------
     def happens_before(self, a: int, b: int) -> bool:
         """True if node ``a`` is ordered (transitively) before node ``b``."""
-        return bool(self._reach_masks()[a] & (1 << b))
+        return bool(self.hb_masks()[a] & (1 << b))
 
     def ordered(self, a: int, b: int) -> bool:
         """True if a happens-before path runs either way between the two."""
-        masks = self._reach_masks()
+        masks = self.hb_masks()
         return bool(masks[a] & (1 << b)) or bool(masks[b] & (1 << a))
 
-    def _reach_masks(self) -> List[int]:
-        """Per-node bitmask of transitively reachable nodes (hb edges)."""
+    def hb_masks(self) -> List[int]:
+        """Per-node bitmask of nodes reachable over happens-before edges."""
         cached = getattr(self, "_reach_cache", None)
-        if cached is not None:
-            return cached
-        n = len(self.nodes)
-        masks = [0] * n
-        for start in range(n):
-            seen = 1 << start
-            stack = [start]
-            while stack:
-                cur = stack.pop()
-                # Reuse already-computed masks (cur < start is complete).
-                done = masks[cur]
-                if cur != start and done:
-                    seen |= done
-                    continue
-                for succ in self.nodes[cur].hb_succ:
-                    bit = 1 << succ
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(succ)
-            masks[start] = seen & ~(1 << start)
-        self._reach_cache = masks
-        return masks
+        if cached is None:
+            cached = reach_masks([node.hb_succ for node in self.nodes])
+            self._reach_cache = cached
+        return cached
 
     # -- deadlock detection over issue-blocking edges --------------------
     def find_issue_cycle(self) -> Optional[List[CommandNode]]:
@@ -135,30 +187,35 @@ class CommandGraph:
         return None
 
 
-def _node_label(queue: "CommandQueue", position: int, command: "Command") -> str:
-    return f"{queue.name}[{position}]:{command.kind.value}"
-
-
 def build_command_graph(pool: Sequence["CommandQueue"]) -> CommandGraph:
     """Build the command DAG over every deferred command of ``pool``."""
     nodes: List[CommandNode] = []
     by_command: Dict[int, CommandNode] = {}
+    buffers: Dict[int, BufferAccess] = {}
     for q in pool:
         for pos, cmd in enumerate(q.pending):
             reads, writes = cmd.access_sets()
+            index = len(nodes)
+            write_ids = {id(b) for b in writes}
+            for buf in writes + reads:
+                access = buffers.get(id(buf))
+                if access is None:
+                    access = buffers[id(buf)] = BufferAccess(buf)
+                role = access.writers if id(buf) in write_ids else access.readers
+                if not role or role[-1] != index:
+                    role.append(index)
             node = CommandNode(
-                index=len(nodes),
+                index=index,
                 queue=q,
                 position=pos,
                 command=cmd,
-                label=_node_label(q, pos, cmd),
                 reads=reads,
                 writes=writes,
             )
             nodes.append(node)
             by_command[id(cmd)] = node
 
-    graph = CommandGraph(nodes=nodes, orphans=[])
+    graph = CommandGraph(nodes=nodes, orphans=[], buffers=buffers)
 
     for q in pool:
         prev: Optional[CommandNode] = None

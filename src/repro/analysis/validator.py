@@ -24,7 +24,7 @@ The checks are pure: nothing is issued, no simulated time passes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.findings import Finding, FindingKind, Severity
 from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
@@ -108,41 +108,28 @@ def _orphan_findings(graph: CommandGraph) -> List[Finding]:
 # Data races
 # ---------------------------------------------------------------------------
 def _race_findings(graph: CommandGraph) -> List[Finding]:
-    # buffer id -> [(node, writes?)] in node order
-    touches: Dict[int, List[Tuple[CommandNode, bool]]] = {}
-    buffer_names: Dict[int, str] = {}
-    for node in graph.nodes:
-        write_ids = {id(b) for b in node.writes}
-        seen = set()
-        for buf in tuple(node.writes) + tuple(node.reads):
-            if id(buf) in seen:
-                continue
-            seen.add(id(buf))
-            buffer_names[id(buf)] = buf.name
-            touches.setdefault(id(buf), []).append((node, id(buf) in write_ids))
     findings = []
-    for buf_id, accesses in touches.items():
-        for i, (a, a_writes) in enumerate(accesses):
-            for b, b_writes in accesses[i + 1:]:
-                if not (a_writes or b_writes):
-                    continue  # two reads never conflict
-                if graph.ordered(a.index, b.index):
-                    continue
-                mode = "write/write" if a_writes and b_writes else "read/write"
-                findings.append(
-                    Finding(
-                        kind=FindingKind.DATA_RACE,
-                        severity=Severity.ERROR,
-                        message=(
-                            f"{mode} race on buffer "
-                            f"{buffer_names[buf_id]!r}: {a.label} and "
-                            f"{b.label} are not ordered by any event, "
-                            f"program-order, or barrier path"
-                        ),
-                        subjects=(a.label, b.label),
-                        buffer=buffer_names[buf_id],
-                    )
+    for access in graph.buffers.values():
+        writers = set(access.writers)
+        name = access.buffer.name
+        for i, j in access.conflict_pairs():
+            if graph.ordered(i, j):
+                continue
+            a, b = graph.nodes[i], graph.nodes[j]
+            mode = "write/write" if i in writers and j in writers else "read/write"
+            findings.append(
+                Finding(
+                    kind=FindingKind.DATA_RACE,
+                    severity=Severity.ERROR,
+                    message=(
+                        f"{mode} race on buffer {name!r}: {a.label} and "
+                        f"{b.label} are not ordered by any event, "
+                        f"program-order, or barrier path"
+                    ),
+                    subjects=(a.label, b.label),
+                    buffer=name,
                 )
+            )
     return findings
 
 
@@ -156,11 +143,8 @@ def _stale_read_findings(graph: CommandGraph) -> List[Finding]:
         for buf in node.reads:
             if id(buf) in write_ids:
                 continue  # the command (re)produces the data itself
-            writers = [
-                w
-                for w in graph.nodes
-                if w.index != node.index and any(id(b) == id(buf) for b in w.writes)
-            ]
+            # The node itself does not write ``buf``, so is not among these.
+            writers = [graph.nodes[w] for w in graph.buffers[id(buf)].writers]
             if any(graph.happens_before(w.index, node.index) for w in writers):
                 continue  # some producing write is ordered before the read
             if getattr(buf, "host_shadow_stale", False):

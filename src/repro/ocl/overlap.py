@@ -18,7 +18,9 @@ model actually requires:
 * for every pair of commands touching a common buffer with at least one
   writer, the original happens-before direction is restored as an explicit
   edge — so reordering can never introduce a race the FIFO order did not
-  already have (the sanitizer's own conflict rule, applied in reverse);
+  already have.  The pairs come from the graph's per-buffer access index
+  (:meth:`~repro.analysis.graph.CommandGraph.conflict_pairs`), the same
+  conflict definition the sanitizer's race check reads;
 * everything else may reorder: commands issue from a dependency-driven
   ready heap that prefers transfers over kernels (prefetch), letting the
   simulator's copy-engine resources run concurrently with compute.
@@ -42,7 +44,7 @@ import heapq
 import os
 from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
-from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
+from repro.analysis.graph import CommandNode, build_command_graph, reach_masks
 from repro.ocl.enums import CommandKind, SchedFlag
 from repro.ocl.errors import InvalidOperation
 
@@ -96,58 +98,11 @@ def _queue_eligible(context: "Context", queue: "CommandQueue") -> bool:
     return context.overlap or bool(queue.sched_flags.value & _OVERLAP_MASK)
 
 
-def _conflicts(a: CommandNode, b: CommandNode) -> bool:
-    """Same-buffer access with at least one writer (the sanitizer's rule)."""
-    if not a.writes and not b.writes:
-        return False
-    aw = {id(x) for x in a.writes}
-    bw = {id(x) for x in b.writes}
-    if aw & ({id(x) for x in b.reads} | bw):
-        return True
-    return bool(bw & {id(x) for x in a.reads})
-
-
-def _reachable(succ: List[List[int]], n: int) -> List[int]:
-    """Per-node bitmask of transitively reachable nodes over ``succ``."""
-    masks = [0] * n
-    # Reverse topological-ish sweep is unnecessary at pool scale; plain
-    # DFS per node with memoisation on completed nodes.
-    state = [0] * n  # 0 = unvisited, 1 = done
-
-    def visit(start: int) -> int:
-        stack = [start]
-        order: List[int] = []
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            order.append(cur)
-            for s in succ[cur]:
-                if state[s] or s in seen:
-                    continue
-                seen.add(s)
-                stack.append(s)
-        # Process in reverse discovery order; cycles (which the caller
-        # rejects separately via the topo stall path) degrade to a safe
-        # under-approximation only for the erroring run.
-        for cur in reversed(order):
-            m = 0
-            for s in succ[cur]:
-                m |= (1 << s) | masks[s]
-            masks[cur] = m
-            state[cur] = 1
-        return masks[start]
-
-    for i in range(n):
-        if not state[i]:
-            visit(i)
-    return masks
-
-
 def issue_pool_overlap(
     context: "Context", queues: Sequence["CommandQueue"]
 ) -> None:
     """Issue every deferred command of ``queues`` in overlap-aware order."""
-    graph: CommandGraph = build_command_graph(queues)
+    graph = build_command_graph(queues)
     nodes = graph.nodes
     n = len(nodes)
     if n == 0:
@@ -196,21 +151,17 @@ def issue_pool_overlap(
 
     # Restore the original happens-before direction for every conflicting
     # pair: relaxation must never unorder what FIFO issue ordered.
-    for i in range(n):
-        a = nodes[i]
-        for j in range(i + 1, n):
-            b = nodes[j]
-            if not _conflicts(a, b):
-                continue
-            if graph.happens_before(i, j):
-                preds[j].add(i)
-                restore[j].add(i)
-            elif graph.happens_before(j, i):
-                preds[i].add(j)
-                restore[i].add(j)
-            # Unordered conflicting pairs raced under FIFO too; that is
-            # the sanitizer's finding to report, not ours to invent an
-            # order for.
+    hb = graph.hb_masks()
+    pairs = graph.conflict_pairs()
+    for i, j in pairs:
+        if hb[i] >> j & 1:
+            preds[j].add(i)
+            restore[j].add(i)
+        elif hb[j] >> i & 1:
+            preds[i].add(j)
+            restore[i].add(j)
+        # Unordered conflicting pairs raced under FIFO too; that is the
+        # sanitizer's finding to report, not ours to invent an order for.
 
     # ------------------------------------------------------------------
     # Safety check: relaxed reachability preserves all original ordering
@@ -220,23 +171,18 @@ def issue_pool_overlap(
     for i in range(n):
         for p in preds[i]:
             succ[p].append(i)
-    masks = _reachable(succ, n)
-    for i in range(n):
-        a = nodes[i]
-        for j in range(i + 1, n):
-            b = nodes[j]
-            if not _conflicts(a, b):
-                continue
-            if graph.happens_before(i, j) and not masks[i] & (1 << j):
-                raise InvalidOperation(
-                    f"overlap issue would unorder conflicting commands "
-                    f"{a.label} -> {b.label}"
-                )
-            if graph.happens_before(j, i) and not masks[j] & (1 << i):
-                raise InvalidOperation(
-                    f"overlap issue would unorder conflicting commands "
-                    f"{b.label} -> {a.label}"
-                )
+    masks = reach_masks(succ)
+    for i, j in pairs:
+        if hb[i] >> j & 1 and not masks[i] >> j & 1:
+            a, b = i, j
+        elif hb[j] >> i & 1 and not masks[j] >> i & 1:
+            a, b = j, i
+        else:
+            continue
+        raise InvalidOperation(
+            f"overlap issue would unorder conflicting commands "
+            f"{nodes[a].label} -> {nodes[b].label}"
+        )
 
     # ------------------------------------------------------------------
     # Dependency-driven ready heap, transfers first.
