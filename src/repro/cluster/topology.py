@@ -17,7 +17,7 @@ paths, and measured bandwidth is all the mapper ever sees.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.hardware.cost import transfer_time
@@ -81,7 +81,7 @@ class SimCluster(SimNode):
         self,
         device: str,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "h2d",
         meta: Optional[dict] = None,
@@ -96,7 +96,7 @@ class SimCluster(SimNode):
             name=f"{name}:net->node{node_idx}",
             duration=self._net_seconds(nbytes),
             resource=self.nics[node_idx],
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -106,7 +106,7 @@ class SimCluster(SimNode):
         self,
         device: str,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "d2h",
         meta: Optional[dict] = None,

@@ -16,7 +16,9 @@ must be resident there.  With *n* devices:
   kernel there, the data is already present.
 
 Both strategies charge simulated time on the per-device host links; the
-caching variant also updates buffer residency.
+caching variant also updates buffer residency.  Every transfer task gets
+its own copy of the shared staging dependencies (tasks keep their ``deps``
+list).
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _stage_cached(
     if not buf.is_valid_on(HOST):
         assert src_dev is not None
         d2h = node.submit_d2h(
-            src_dev, buf.nbytes, deps=deps, category=PROFILE_TRANSFER,
+            src_dev, buf.nbytes, deps=list(deps), category=PROFILE_TRANSFER,
             name=f"prof-stage:{buf.name}",
         )
         plan.bytes_moved += buf.nbytes
@@ -113,7 +115,7 @@ def _stage_cached(
         h2d_deps = deps + [d2h]
     for dst in targets:
         h2d = node.submit_h2d(
-            dst, buf.nbytes, deps=h2d_deps, category=PROFILE_TRANSFER,
+            dst, buf.nbytes, deps=list(h2d_deps), category=PROFILE_TRANSFER,
             name=f"prof-stage:{buf.name}",
         )
         plan.bytes_moved += buf.nbytes
@@ -135,7 +137,7 @@ def _stage_brute(
     for dst in targets:
         if src_dev is not None and src_dev != dst:
             d2h = node.submit_d2h(
-                src_dev, buf.nbytes, deps=deps, category=PROFILE_TRANSFER,
+                src_dev, buf.nbytes, deps=list(deps), category=PROFILE_TRANSFER,
                 name=f"prof-stage:{buf.name}",
             )
             h2d = node.submit_h2d(
@@ -147,7 +149,7 @@ def _stage_brute(
         else:
             # Valid on host only (or already on dst's twin): single H2D.
             h2d = node.submit_h2d(
-                dst, buf.nbytes, deps=deps, category=PROFILE_TRANSFER,
+                dst, buf.nbytes, deps=list(deps), category=PROFILE_TRANSFER,
                 name=f"prof-stage:{buf.name}",
             )
             plan.bytes_moved += buf.nbytes

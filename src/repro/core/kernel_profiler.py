@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.core.data_cache import StagingPlan, stage_inputs
 from repro.core.flags import ScheduleOptions, SchedulerConfig
@@ -110,7 +110,8 @@ class KernelProfiler:
 
     @classmethod
     def epoch_key(cls, kernel_cmds: Sequence[Command]) -> EpochKey:
-        return tuple(cls.kernel_key(c) for c in kernel_cmds)
+        key = cls.kernel_key
+        return tuple([key(c) for c in kernel_cmds])
 
     # ------------------------------------------------------------------
     # Main entry
@@ -143,18 +144,19 @@ class KernelProfiler:
         if not kernel_cmds:
             return EpochProfile({d: 0.0 for d in devices})
 
+        # One cache key per command, reused by every step below.
         ekey = self.epoch_key(kernel_cmds)
         if self.config.profile_caching and ekey in self.epoch_cache:
             self.stats.epoch_cache_hits += 1
             return EpochProfile(dict(self.epoch_cache[ekey]))
 
         missing: List[Command] = []
-        for cmd in kernel_cmds:
-            kkey = self.kernel_key(cmd)
+        missing_keys: Set[KernelKey] = set()
+        for cmd, kkey in zip(kernel_cmds, ekey):
             if self.config.profile_caching and kkey in self.kernel_cache:
                 self.stats.kernel_cache_hits += 1
                 continue
-            if any(self.kernel_key(m) == kkey for m in missing):
+            if kkey in missing_keys:
                 continue
             # Predict-first gate: a confidently predicted kernel never runs
             # a profiling launch.  Refresh epochs deliberately skip the
@@ -168,13 +170,14 @@ class KernelProfiler:
                     continue
                 self.stats.predict_declines += 1
             missing.append(cmd)
+            missing_keys.add(kkey)
 
         if missing:
             self._measure(missing, devices, options)
 
         seconds = {d: 0.0 for d in devices}
-        for cmd in kernel_cmds:
-            per_dev = self.kernel_cache[self.kernel_key(cmd)]
+        for kkey in ekey:
+            per_dev = self.kernel_cache[kkey]
             for d in devices:
                 # A device can fail *inside* _measure (the profiling launches
                 # advance the clock); a missing column means "never ran here".

@@ -6,11 +6,16 @@ and data transfers.  Device-to-device transfers are staged through host
 memory (D2H followed by H2D) because, as the paper notes in Section V.C.3,
 "current vendor drivers do not support direct D2D transfer capabilities
 across vendors and device types".
+
+Every factory hands its ``deps`` list to the created task, which keeps it
+(:class:`~repro.sim.engine.SimTask`): pass a list built for that one task.
+``meta`` is merged into a fresh per-task metadata dict, so a caller may
+pass the same ``meta`` mapping to many factories.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.hardware.cost import KernelCost, kernel_time, transfer_time, workgroup_time
 from repro.hardware.specs import DeviceSpec, HardwareError, NodeSpec
@@ -41,7 +46,7 @@ class SimDevice:
         self,
         name: str,
         cost: KernelCost,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "kernel",
         minikernel: bool = False,
         meta: Optional[dict] = None,
@@ -68,7 +73,7 @@ class SimDevice:
             name=f"{name}@{self.name}",
             duration=duration,
             resource=self.resource,
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -76,7 +81,7 @@ class SimDevice:
     def submit_intradevice_copy(
         self,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "d2d-local",
         meta: Optional[dict] = None,
@@ -90,7 +95,7 @@ class SimDevice:
             name=f"{name}@{self.name}",
             duration=duration,
             resource=self.resource,
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -182,7 +187,7 @@ class SimNode:
         self,
         device: str,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "h2d",
         meta: Optional[dict] = None,
@@ -197,7 +202,7 @@ class SimNode:
             name=f"{name}:host->{device}",
             duration=duration,
             resource=self.links[device],
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -206,7 +211,7 @@ class SimNode:
         self,
         device: str,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "d2h",
         meta: Optional[dict] = None,
@@ -219,7 +224,7 @@ class SimNode:
             name=f"{name}:{device}->host",
             duration=duration,
             resource=self.d2h_links[device],
-            deps=list(deps or []),
+            deps=deps,
             category=category,
             meta=info,
         )
@@ -229,7 +234,7 @@ class SimNode:
         src: str,
         dst: str,
         nbytes: int,
-        deps: Optional[Sequence[SimTask]] = None,
+        deps: Optional[List[SimTask]] = None,
         category: str = "transfer",
         name: str = "d2d",
         meta: Optional[dict] = None,

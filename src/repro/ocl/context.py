@@ -308,20 +308,29 @@ class Context:
                 i, q = heapq.heappop(heap)
                 scheduled.discard(id(q))
                 pending = q.pending
-                while pending and pending[0].deps_ready():
-                    cmd = pending.pop(0)
-                    q.issue(cmd)
-                    woken = waiters.pop(id(cmd), None)
-                    if woken:
-                        for w in woken:
-                            wid = id(w)
-                            if wid in scheduled or not w.pending:
-                                continue
-                            scheduled.add(wid)
-                            if pos[wid] > i:
-                                heapq.heappush(heap, (pos[wid], w))
-                            else:
-                                sweep.append(w)
+                # Drain the head run with a cursor and trim the issued
+                # prefix once (``pop(0)`` per command is O(n) each).  The
+                # trim also runs if issue() raises, so ``pending`` then
+                # holds exactly the commands after the failed one.
+                k = 0
+                try:
+                    while k < len(pending) and pending[k].deps_ready():
+                        cmd = pending[k]
+                        k += 1
+                        q.issue(cmd)
+                        woken = waiters.pop(id(cmd), None)
+                        if woken:
+                            for w in woken:
+                                wid = id(w)
+                                if wid in scheduled or not w.pending:
+                                    continue
+                                scheduled.add(wid)
+                                if pos[wid] > i:
+                                    heapq.heappush(heap, (pos[wid], w))
+                                else:
+                                    sweep.append(w)
+                finally:
+                    del pending[:k]
                 if pending:
                     # Stalled: park the queue under the first still-unissued
                     # producer; issuing it re-schedules the queue.  (Heads

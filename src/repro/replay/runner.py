@@ -39,7 +39,8 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.replay.arrivals import (
     DEFAULT_FAMILIES,
@@ -237,10 +238,13 @@ class _EngineTenant:
         self.free = [0.0] * len(devices)
         # Shared per-family request names and trace metadata: requests of a
         # family are indistinguishable, so a million tasks share four
-        # strings and four read-only dicts instead of allocating their own.
+        # strings and four read-only mappings instead of allocating their
+        # own (a task keeps the meta it is given; read-only ones may be
+        # shared).
         self.names = [f"req:{fam.name}" for fam in config.families]
         self.metas = [
-            {"family": fam.name, "tenant": tenant} for fam in config.families
+            MappingProxyType({"family": fam.name, "tenant": tenant})
+            for fam in config.families
         ]
         #: one shared completion-callback list for every request (the
         #: engine reads it and clears the *task's* reference, never the
@@ -286,10 +290,10 @@ class _EngineTenant:
             if start < now:
                 start = now
             free[i] = start + duration
-            task = engine.task(
-                name, duration, resource, category="profile-kernel"
+            engine.task(
+                name, duration, resource, category="profile-kernel",
+                meta=self.metas[fam],
             )
-            task.meta = self.metas[fam]
 
     def arrive(self, fam: int) -> None:
         """Dispatch one arriving request (fires at its arrival timestamp)."""
@@ -319,11 +323,9 @@ class _EngineTenant:
         if start < now:
             start = now
         free[dev] = start + duration
-        task = engine.task(self.names[fam], duration, self.resources[dev])
-        # engine.task() copies caller metadata defensively; assigning the
-        # shared read-only dict afterwards keeps the per-request cost to
-        # the task object itself.
-        task.meta = self.metas[fam]
+        task = engine.task(
+            self.names[fam], duration, self.resources[dev], meta=self.metas[fam]
+        )
         task.arrival_time = now
         task._callbacks = self.callbacks
 
@@ -480,6 +482,10 @@ class _ServiceTenant:
         self.completed = 0
         self.latency_sum = 0.0
         self.last_end = 0.0
+        #: arrival time of every request not yet completed, by its event
+        self.arrivals: Dict[Any, float] = {}
+        # One bound method shared by every request's completion callback.
+        self._on_done_cb = self._on_done
 
     def enqueue(self, fam: int) -> None:
         """Submit one arriving request (fires at its arrival timestamp)."""
@@ -489,12 +495,12 @@ class _ServiceTenant:
             kernel, (_SERVICE_GLOBAL,), (_SERVICE_LOCAL,)
         )
         self.requests += 1
-        arrival = self.engine.clock._now
-        event.set_callback(lambda ev, t0=arrival: self._on_done(ev, t0))
+        self.arrivals[event] = self.engine.clock._now
+        event.set_callback(self._on_done_cb)
 
-    def _on_done(self, event, arrival: float) -> None:
+    def _on_done(self, event) -> None:
         end = event.profile_end
-        latency = end - arrival
+        latency = end - self.arrivals.pop(event)
         self.hist.add(latency)
         self.completed += 1
         self.latency_sum += latency

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.trace import EMPTY_META, Trace, TraceInterval
@@ -36,7 +36,9 @@ _PENDING = "pending"  # created, not yet submitted
 #: Shared metadata mapping for tasks created without meta.  Read-only (it
 #: also flows into TraceInterval.meta): an in-place mutation raises instead
 #: of silently polluting every metadata-free task and trace interval.
-_EMPTY_META: Dict[str, Any] = EMPTY_META  # type: ignore[assignment]
+_EMPTY_META: Mapping[str, Any] = EMPTY_META
+#: Shared dependency list of every task created without dependencies.
+_NO_DEPS: Tuple["SimTask", ...] = ()
 _WAITING = "waiting"  # submitted, waiting on dependencies
 _READY = "ready"  # dependencies met, queued on its resource
 _RUNNING = "running"  # in service
@@ -57,12 +59,19 @@ class SimTask:
         Optional :class:`~repro.sim.resources.FifoResource`; when ``None``
         the task runs "in the air" (host-side latency) without queueing.
     deps:
-        Tasks that must complete before this one starts.
+        Tasks that must complete before this one starts.  The task keeps
+        this list: the caller hands it over and must neither mutate nor
+        share it afterwards (submission resolves aborted entries to their
+        replacements in place).  Omitted or empty means the shared ``()``.
     category:
         Free-form label used by the trace for time accounting, e.g.
         ``"kernel"``, ``"transfer"``, ``"profile"``.
     meta:
         Arbitrary metadata propagated to the trace (kernel names, sizes...).
+        Kept as given, like ``deps``, and stored in the task's
+        :class:`~repro.sim.trace.TraceInterval`: pass a dict built for this
+        task, or a read-only mapping (``MappingProxyType``) that many tasks
+        may share.  Omitted or empty means the shared :data:`EMPTY_META`.
     """
 
     __slots__ = (
@@ -90,18 +99,16 @@ class SimTask:
         resource: Optional["FifoResource"] = None,  # noqa: F821
         deps: Optional[List["SimTask"]] = None,
         category: str = "work",
-        meta: Optional[Dict[str, Any]] = None,
+        meta: Optional[Mapping[str, Any]] = None,
     ) -> None:
         if duration < 0.0:
             raise SimError(f"task {name!r} has negative duration {duration!r}")
         self.name = name
         self.duration = float(duration)
         self.resource = resource
-        self.deps: List[SimTask] = list(deps) if deps else []
+        self.deps: Sequence[SimTask] = deps if deps else _NO_DEPS
         self.category = category
-        # Shared sentinel for the metadata-free common case; treated as
-        # read-only (callers wanting task-local metadata pass a dict).
-        self.meta: Dict[str, Any] = dict(meta) if meta else _EMPTY_META
+        self.meta: Mapping[str, Any] = meta if meta else _EMPTY_META
         self.state = _PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
@@ -278,7 +285,7 @@ class SimEngine:
             # abort with released dependents counts as satisfied.
             while dep.state == _ABORTED and dep.replacement is not None:
                 dep = dep.replacement
-            task.deps[i] = dep
+            task.deps[i] = dep  # type: ignore[index]
             if dep.done:
                 continue
             if dep.state == _ABORTED and dep.released_deps:
@@ -306,9 +313,13 @@ class SimEngine:
         resource: Optional["FifoResource"] = None,  # noqa: F821
         deps: Optional[List[SimTask]] = None,
         category: str = "work",
-        meta: Optional[Dict[str, Any]] = None,
+        meta: Optional[Mapping[str, Any]] = None,
     ) -> SimTask:
-        """Create *and submit* a task in one call."""
+        """Create *and submit* a task in one call.
+
+        The task keeps ``deps`` and ``meta`` as given, without copies: pass
+        objects built for this task (see :class:`SimTask`).
+        """
         task = SimTask(name, duration, resource, deps, category, meta)
         if deps:
             return self.submit(task)
