@@ -14,7 +14,6 @@ work.  These tests pin the semantics that must survive the caching:
 * pricing state stays bounded and never lives on commands.
 """
 
-import dataclasses
 import math
 import struct
 
@@ -291,5 +290,10 @@ def test_pricing_state_stays_bounded(monkeypatch, profile_dir):
     small, _ = _replay_pricing_state(monkeypatch, profile_dir, 1000)
     large, cmds = _replay_pricing_state(monkeypatch, profile_dir, 4000)
     assert small == large > 0
-    fields = {f.name for f in dataclasses.fields(Command)}
-    assert all(set(vars(c)) == fields for c in cmds)
+    # A command holds exactly its declared slots: no per-instance dict
+    # where pricing state could ride along.
+    fields = Command.__slots__
+    assert all(
+        not hasattr(c, "__dict__") and all(hasattr(c, f) for f in fields)
+        for c in cmds
+    )
