@@ -32,7 +32,7 @@ from repro.analysis.graph import CommandGraph, CommandNode, build_command_graph
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ocl.queue import CommandQueue
 
-__all__ = ["validate_pool", "describe_deadlock"]
+__all__ = ["validate_pool", "describe_deadlock", "issue_deadlock_message"]
 
 
 def validate_pool(pool: Sequence["CommandQueue"]) -> List[Finding]:
@@ -203,9 +203,9 @@ def _stale_read_findings(graph: CommandGraph) -> List[Finding]:
 def describe_deadlock(pool: Sequence["CommandQueue"]) -> Optional[str]:
     """Explain why issuing ``pool`` stalled, or None if no cause is found.
 
-    Used by :meth:`~repro.ocl.context.Context.issue_pool` to turn the
-    opaque "pending counts" deadlock error into the actual dependency
-    cycle (or orphaned-event) diagnosis.
+    Names the actual dependency cycle (or orphaned event) instead of the
+    opaque pending counts; :func:`issue_deadlock_message` builds the issue
+    drains' error from it.
     """
     graph = build_command_graph(pool)
     cycle = graph.find_issue_cycle()
@@ -219,3 +219,14 @@ def describe_deadlock(pool: Sequence["CommandQueue"]) -> Optional[str]:
             f"which is neither issued nor pending in the pool"
         )
     return None
+
+
+def issue_deadlock_message(remaining: Sequence["CommandQueue"]) -> str:
+    """The error both issue drains (FIFO and overlap) raise when the
+    queues in ``remaining`` still hold commands that can never issue: the
+    :func:`describe_deadlock` diagnosis, else the stuck pending counts."""
+    detail = describe_deadlock(remaining)
+    if detail is None:
+        stuck = {q.name: len(q.pending) for q in remaining}
+        detail = f"stuck pending counts: {stuck}"
+    return f"cross-queue dependency deadlock while issuing: {detail}"

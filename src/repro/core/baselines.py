@@ -67,11 +67,13 @@ class KernelGranularityScheduler(MultiCLSchedulerBase):
         for q in sorted(pool, key=lambda q: q.id):
             while q.pending:
                 cmd = q.pending[0]
+                # Place only a kernel that can issue now: a stalled head is
+                # placed by the trigger that finds its wait list satisfied.
+                if not cmd.deps_ready():
+                    break  # cross-queue wait; the other queue will trigger
                 if cmd.is_kernel:
                     self._place_kernel(q, cmd, profile)
                 # Non-kernel commands ride along on the current binding.
-                if not cmd.deps_ready():
-                    break  # cross-queue wait; the other queue will trigger
                 q.issue(q.pending.pop(0))
         self._record(pool)
 

@@ -1,4 +1,4 @@
-"""Composable mapping constraints and incremental assignment repair.
+"""Incremental assignment repair.
 
 The branch-and-bound mapper (:mod:`repro.core.device_mapper`) re-solves the
 whole queue pool on every trigger.  That is the right cost model for the
@@ -7,33 +7,21 @@ device failure or tenant arrival pays a full solve for what is usually a
 local perturbation: one device vanished, its queues need homes, everyone
 else should stay put.
 
-This module provides the two pieces the ROADMAP's constraint-mapper item
-calls for:
-
-* **Declarative constraints** — device capacity (resident bytes), link/NUMA
-  affinity, per-tenant device quotas, and queue co-location expressed as
-  :class:`Constraint` objects with a uniform
-  ``violations(assignment)`` / ``candidates(queue, devices)`` interface,
-  composed by :class:`ConstraintSet`.  Constraints bridge into the existing
-  solvers through :meth:`ConstraintSet.mask_cost`, which marks disallowed
-  (queue, device) pairs infeasible (``math.inf``) so `optimal_mapping` /
-  `greedy_mapping` and the repair below all honour them.
-
-* **Incremental repair** — :func:`repair_mapping` takes the previous
-  :class:`~repro.core.device_mapper.MappingResult` plus a
-  :class:`MappingDelta` (devices removed by a fault, queues arrived or
-  retired) and migrates only the *affected* queues: survivors keep their
-  binding, orphans are re-placed by a bounded branch-and-bound over the
-  affected subset alone (seeded with an LPT insert into the surviving
-  loads).  The repaired assignment is accepted only when the
-  affected-subset search completed within its node budget (the placement
-  is then optimal over the pinned survivors), its makespan is no worse
-  than a fresh solve estimate — the LPT list-scheduling bound that seeds
-  the full solver, computed in O(Q·D) — and it stays within
-  ``threshold`` × the capacity-scaled previous makespan; otherwise the
-  repair *falls back to the full solve* (`optimal_mapping` with the
-  surviving bindings as ``preferred``), so a rejected repair is exactly a
-  fresh solve and the caller never does worse than re-solving.
+:func:`repair_mapping` takes the previous
+:class:`~repro.core.device_mapper.MappingResult` plus a :class:`MappingDelta`
+(devices removed by a fault, queues arrived) and migrates only the
+*affected* queues: survivors keep their binding, and the affected queues
+are placed on top of the survivors' loads by the full solver's own LPT
+list scheduler and refinement, then by a bounded branch-and-bound over the
+affected subset alone.  The repaired assignment is accepted only when the
+affected-subset search completed within its node budget (the placement is
+then optimal over the pinned survivors), its makespan is no worse than a
+fresh solve estimate — the LPT list-scheduling bound that seeds the full
+solver, computed in O(Q·D) — and it stays within ``threshold`` × the
+capacity-scaled previous makespan; otherwise the repair *falls back to the
+full solve* (`optimal_mapping` with the surviving bindings as
+``preferred``), so a rejected repair is exactly a fresh solve and the
+caller never does worse than re-solving.
 
 Determinism: every scan below iterates queues and devices in caller order
 with explicit tie-breaks, and device loads are summed in a fixed queue
@@ -46,24 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.device_mapper import (
-    MapperError,
     MappingResult,
+    _lpt_assign,
     _lpt_order,
+    _refine,
     _validate,
     optimal_mapping,
 )
 
 __all__ = [
-    "Constraint",
-    "Violation",
-    "CapacityConstraint",
-    "AffinityConstraint",
-    "TenantQuotaConstraint",
-    "CoLocationConstraint",
-    "ConstraintSet",
     "MappingDelta",
     "repair_mapping",
     "DEFAULT_REPAIR_THRESHOLD",
@@ -89,251 +71,16 @@ _REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One constraint violation in a (partial) assignment."""
-
-    constraint: str
-    queue: str
-    device: str
-    detail: str = ""
-
-
-class Constraint:
-    """Base class: everything is allowed, nothing is violated.
-
-    Subclasses narrow :meth:`candidates` (which devices may this queue use)
-    and/or report :meth:`violations` over a full or partial assignment
-    (mapping of queue name → device name).  Both views are needed: candidate
-    filtering steers the solvers away from illegal placements up front,
-    while violation reporting lets :func:`repair_mapping` find the kept
-    queues a fault pushed out of feasibility (e.g. survivors whose device
-    no longer has capacity headroom).
-    """
-
-    name = "constraint"
-
-    def candidates(
-        self, queue: str, devices: Sequence[str]
-    ) -> Tuple[str, ...]:
-        return tuple(devices)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        return []
-
-
-class CapacityConstraint(Constraint):
-    """Per-device byte capacity against per-queue resident demand.
-
-    ``demand`` maps queue → bytes it keeps resident; ``capacity`` maps
-    device → byte budget.  A queue with no demand entry consumes nothing;
-    a device with no capacity entry is unconstrained.
-    """
-
-    name = "capacity"
-
-    def __init__(
-        self,
-        capacity: Mapping[str, float],
-        demand: Mapping[str, float],
-    ) -> None:
-        self.capacity = dict(capacity)
-        self.demand = dict(demand)
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        need = self.demand.get(queue, 0.0)
-        return tuple(
-            d for d in devices if need <= self.capacity.get(d, math.inf)
-        )
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        used: Dict[str, float] = {}
-        by_device: Dict[str, List[str]] = {}
-        for q, d in assignment.items():
-            used[d] = used.get(d, 0.0) + self.demand.get(q, 0.0)
-            by_device.setdefault(d, []).append(q)
-        out: List[Violation] = []
-        for d, total in used.items():
-            cap = self.capacity.get(d, math.inf)
-            if total > cap:
-                # Report the last-assigned queues first: evicting the most
-                # recent arrivals restores feasibility with the fewest
-                # migrations of long-resident queues.
-                for q in reversed(by_device[d]):
-                    out.append(
-                        Violation(
-                            self.name,
-                            q,
-                            d,
-                            f"device over capacity ({total} > {cap})",
-                        )
-                    )
-                    total -= self.demand.get(q, 0.0)
-                    if total <= cap:
-                        break
-        return out
-
-
-class AffinityConstraint(Constraint):
-    """Link/NUMA affinity: each queue may only use its allowed devices.
-
-    ``allowed`` maps queue → the devices it may run on (e.g. the devices
-    sharing its data's NUMA domain or host link).  Queues without an entry
-    are unconstrained.
-    """
-
-    name = "affinity"
-
-    def __init__(self, allowed: Mapping[str, Sequence[str]]) -> None:
-        self.allowed = {q: tuple(ds) for q, ds in allowed.items()}
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        allow = self.allowed.get(queue)
-        if allow is None:
-            return tuple(devices)
-        allow_set = set(allow)
-        return tuple(d for d in devices if d in allow_set)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out = []
-        for q, d in assignment.items():
-            allow = self.allowed.get(q)
-            if allow is not None and d not in allow:
-                out.append(
-                    Violation(self.name, q, d, f"allowed: {sorted(allow)}")
-                )
-        return out
-
-
-class TenantQuotaConstraint(Constraint):
-    """Per-tenant cap on queues co-resident on one device.
-
-    ``tenant_of`` maps queue → tenant; ``max_per_device`` maps tenant → the
-    most queues that tenant may place on any single device (an
-    anti-monopoly spread quota, the mapper-level analogue of the service
-    layer's byte/queue quotas).  Tenants without an entry are uncapped.
-    """
-
-    name = "tenant-quota"
-
-    def __init__(
-        self,
-        tenant_of: Mapping[str, str],
-        max_per_device: Mapping[str, int],
-    ) -> None:
-        self.tenant_of = dict(tenant_of)
-        self.max_per_device = dict(max_per_device)
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        counts: Dict[Tuple[str, str], List[str]] = {}
-        for q, d in assignment.items():
-            tenant = self.tenant_of.get(q)
-            if tenant is None or tenant not in self.max_per_device:
-                continue
-            counts.setdefault((tenant, d), []).append(q)
-        out: List[Violation] = []
-        for (tenant, d), qs in counts.items():
-            cap = self.max_per_device[tenant]
-            if len(qs) > cap:
-                for q in reversed(qs[cap:]):
-                    out.append(
-                        Violation(
-                            self.name,
-                            q,
-                            d,
-                            f"tenant {tenant!r} has {len(qs)} queues on one "
-                            f"device (cap {cap})",
-                        )
-                    )
-        return out
-
-
-class CoLocationConstraint(Constraint):
-    """Groups of queues that must share one device (e.g. a pipeline whose
-    stages exchange device-resident buffers every epoch)."""
-
-    name = "co-location"
-
-    def __init__(self, groups: Sequence[Sequence[str]]) -> None:
-        self.groups = [tuple(g) for g in groups]
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out: List[Violation] = []
-        for group in self.groups:
-            placed = [(q, assignment[q]) for q in group if q in assignment]
-            if len({d for _, d in placed}) > 1:
-                anchor = placed[0][1]
-                for q, d in placed[1:]:
-                    if d != anchor:
-                        out.append(
-                            Violation(
-                                self.name,
-                                q,
-                                d,
-                                f"group {group} split across devices",
-                            )
-                        )
-        return out
-
-
-class ConstraintSet:
-    """Conjunction of constraints with the same interface as one."""
-
-    def __init__(self, constraints: Sequence[Constraint] = ()) -> None:
-        self.constraints = list(constraints)
-
-    def candidates(self, queue: str, devices: Sequence[str]) -> Tuple[str, ...]:
-        out = tuple(devices)
-        for c in self.constraints:
-            allow = set(c.candidates(queue, out))
-            out = tuple(d for d in out if d in allow)
-            if not out:
-                break
-        return out
-
-    def allows(self, queue: str, device: str) -> bool:
-        return device in self.candidates(queue, (device,))
-
-    def violations(self, assignment: Mapping[str, str]) -> List[Violation]:
-        out: List[Violation] = []
-        for c in self.constraints:
-            out.extend(c.violations(assignment))
-        return out
-
-    def mask_cost(
-        self,
-        cost: Mapping[str, Mapping[str, float]],
-        queues: Sequence[str],
-        devices: Sequence[str],
-    ) -> Dict[str, Dict[str, float]]:
-        """Cost matrix with disallowed (queue, device) pairs set infeasible.
-
-        This is the bridge into `optimal_mapping`/`greedy_mapping`, which
-        already treat ``math.inf`` as "cannot place here".
-        """
-        masked: Dict[str, Dict[str, float]] = {}
-        for q in queues:
-            allow = set(self.candidates(q, devices))
-            row = cost[q]
-            masked[q] = {
-                d: (row.get(d, math.inf) if d in allow else math.inf)
-                for d in devices
-            }
-        return masked
-
-
-@dataclass(frozen=True)
 class MappingDelta:
     """What changed since ``prev`` was solved.
 
     ``removed_devices`` — devices that failed or were withdrawn;
-    ``added_queues`` — queues with no previous binding (arrivals);
-    ``removed_queues`` — queues retired from the pool (informational: the
-    caller simply omits them from ``queues``).
+    ``added_queues`` — queues with no previous binding (arrivals).  Retired
+    queues need no entry: the caller simply omits them from ``queues``.
     """
 
     removed_devices: Tuple[str, ...] = ()
     added_queues: Tuple[str, ...] = ()
-    removed_queues: Tuple[str, ...] = ()
 
 
 def repair_mapping(
@@ -342,20 +89,20 @@ def repair_mapping(
     queues: Sequence[str],
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
-    constraints: Optional[ConstraintSet] = None,
     threshold: float = DEFAULT_REPAIR_THRESHOLD,
     node_budget: int = REPAIR_NODE_BUDGET,
 ) -> MappingResult:
     """Repair ``prev`` against the post-delta pool instead of re-solving.
 
     ``queues``/``devices``/``cost`` describe the *current* (post-delta)
-    pool.  Queues still bound to a surviving, still-allowed device keep
-    their binding; only the affected set — queues on removed devices,
-    arrivals, and kept queues displaced by constraint violations — is
-    re-placed, by a bounded branch-and-bound over those queues alone.
+    pool.  Queues still bound to a surviving device where their cost is
+    finite keep their binding; only the affected set — queues on removed
+    devices, arrivals, and queues whose device became infeasible — is
+    re-placed (see :func:`_place_affected`).
 
     Decision rule (documented in DESIGN.md §11): the repair is **accepted**
-    iff its makespan is (a) no worse than a fresh solve estimate — the LPT
+    iff the affected-subset search completed within ``node_budget`` and its
+    makespan is (a) no worse than a fresh solve estimate — the LPT
     list-scheduling assignment that seeds the full solver, computed in
     O(Q·D) — and (b) within ``threshold`` × the previous makespan scaled by
     the capacity lost (``len(prev devices) / len(devices)``).  Otherwise it
@@ -368,9 +115,6 @@ def repair_mapping(
     newly placed), so callers can tell repair from re-solve in telemetry.
     """
     _validate(queues, devices, cost)
-    if constraints is not None and constraints.constraints:
-        cost = constraints.mask_cost(cost, queues, devices)
-        _validate(queues, devices, cost)
 
     removed = set(delta.removed_devices)
     added = set(delta.added_queues)
@@ -391,21 +135,6 @@ def repair_mapping(
         else:
             kept[q] = d
 
-    # Displace kept queues that violate constraints on their kept device
-    # (e.g. capacity headroom shrank when orphans lost their device).
-    # Each round evicts the reported violators; bounded by the pool size.
-    if constraints is not None and constraints.constraints:
-        for _ in range(len(queues)):
-            bad = constraints.violations(kept)
-            if not bad:
-                break
-            for v in bad:
-                if v.queue in kept:
-                    del kept[v.queue]
-                    affected.append(v.queue)
-
-    dev_index = {d: i for i, d in enumerate(devices)}
-
     # Surviving load per device, summed in (current) queue order so the
     # float is deterministic for equal inputs.
     base: Dict[str, float] = {d: 0.0 for d in devices}
@@ -415,7 +144,7 @@ def repair_mapping(
             base[d] += cost[q][d]
 
     placed, repair_makespan, explored, complete = _place_affected(
-        affected, devices, cost, base, dev_index, node_budget
+        affected, devices, cost, base, node_budget
     )
 
     migrated = tuple(
@@ -434,7 +163,10 @@ def repair_mapping(
     # capacity.  Rejection falls back to the full solve below.
     accept = complete
     if accept:
-        solve_estimate = _solve_estimate(queues, devices, cost, prev.mapping)
+        _, lpt_loads, _ = _lpt_assign(
+            _lpt_order(queues, devices, cost), devices, cost, prev.mapping
+        )
+        solve_estimate = max(lpt_loads.values())
 
         bound = math.inf
         if math.isfinite(prev.makespan) and prev.makespan > 0.0:
@@ -475,75 +207,33 @@ def repair_mapping(
     )
 
 
-def _solve_estimate(
-    queues: Sequence[str],
-    devices: Sequence[str],
-    cost: Mapping[str, Mapping[str, float]],
-    preferred: Mapping[str, str],
-) -> float:
-    """Makespan of the LPT list-scheduling assignment over the full pool.
-
-    Bit-identical to ``max(loads)`` after `_lpt_order` + `_lpt_assign` in
-    :mod:`repro.core.device_mapper` — the upper bound that seeds the full
-    solver — but written as a tight scalar loop (no per-candidate tuple
-    keys), since this runs on the repair hot path as the solve estimate.
-    The float evolution is identical: devices are scanned in sequence
-    order, the winner is decided by the same (finish time, prefer current
-    device, lower index) rule, and the winning load is the same
-    ``load + cost`` sum.
-    """
-    order = _lpt_order(queues, devices, cost)
-    loads = {d: 0.0 for d in devices}
-    for q in order:
-        row = cost[q]
-        pref = preferred.get(q)
-        best_t = math.inf
-        best_dev: Optional[str] = None
-        best_pref = False
-        for d in devices:
-            c = row.get(d, math.inf)
-            if not math.isfinite(c):
-                continue
-            t = loads[d] + c
-            if t < best_t or best_dev is None:
-                best_t, best_dev, best_pref = t, d, d == pref
-            elif t == best_t and not best_pref and d == pref:
-                best_dev, best_pref = d, True
-        if best_dev is None:
-            raise MapperError(f"queue {q!r} infeasible on every device")
-        loads[best_dev] = best_t
-    return max(loads.values())
-
-
 def _place_affected(
     affected: Sequence[str],
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
     base: Mapping[str, float],
-    dev_index: Mapping[str, int],
     node_budget: int,
 ) -> Tuple[Dict[str, str], float, int, bool]:
     """Place ``affected`` onto ``base`` loads minimising the makespan.
 
-    Three stages, cheapest first — the local search over the surviving
-    assignment the tentpole calls for, then exact search over the affected
-    subset only:
+    Three stages, cheapest first; survivors never move, so the migration
+    set stays exactly the affected set:
 
-    1. LPT insert: each affected queue (largest first) onto the device
-       where it finishes earliest.
-    2. First-improvement local search moving affected queues off the
-       bottleneck device (survivors never move, so the migration set stays
-       exactly the affected set).
+    1. The full solver's LPT list scheduler (:func:`_lpt_assign`) over the
+       affected queues, on top of the surviving loads.
+    2. The full solver's refinement (:func:`_refine`): single-queue moves
+       off the bottleneck device while the makespan strictly improves.
     3. Depth-first branch-and-bound over the affected queues, seeded with
        the incumbent from (2), pruned by the same suffix-max and
        load-balance lower bounds as the exact mapper, and capped at
        ``node_budget`` explored nodes.
 
-    Returns ``(placement, makespan, explored, complete)`` where
-    ``complete`` is True iff the search exhausted the subtree within its
-    budget — the placement is then optimal given the pinned survivors.
-    Loads are recomputed from ``base`` by summation in a fixed order
-    (save/restore, never ``-=``), so results are bit-identical across runs.
+    Stages 1 and 2 add nothing to ``explored``.  Returns ``(placement,
+    makespan, explored, complete)`` where ``complete`` is True iff the
+    search exhausted the subtree within its budget — the placement is then
+    optimal given the pinned survivors.  Loads are recomputed from
+    ``base`` by summation in a fixed order (save/restore, never ``-=``),
+    so results are bit-identical across runs.
     """
     if not affected:
         makespan = max(base.values()) if base else 0.0
@@ -551,63 +241,9 @@ def _place_affected(
 
     order = _lpt_order(affected, devices, cost)
     n = len(order)
-
-    # Stage 1 — seed: earliest-finish insert, largest queue first.
-    loads = dict(base)
-    assign: List[str] = []
-    for q in order:
-        row = cost[q]
-        best_dev = None
-        best_key = None
-        for d in devices:
-            c = row.get(d, math.inf)
-            if not math.isfinite(c):
-                continue
-            key = (loads[d] + c, dev_index[d])
-            if best_key is None or key < best_key:
-                best_key, best_dev = key, d
-        if best_dev is None:
-            raise MapperError(f"queue {q!r} infeasible on every device")
-        assign.append(best_dev)
-        loads[best_dev] += row[best_dev]
-
-    # Stage 2 — local search: move affected queues off the bottleneck while
-    # the makespan strictly improves (first improvement, deterministic scan
-    # order; loads recomputed from base in order-sequence, drift-free).
-    def recompute(device: str) -> float:
-        total = base[device]
-        for q, d in zip(order, assign):
-            if d == device:
-                total += cost[q][device]
-        return total
-
-    for _ in range(2 * n):
-        makespan = max(loads.values())
-        moved = False
-        for i, q in enumerate(order):
-            src = assign[i]
-            if loads[src] != makespan:
-                continue
-            row = cost[q]
-            for d in devices:
-                if d == src:
-                    continue
-                c = row.get(d, math.inf)
-                if not math.isfinite(c):
-                    continue
-                assign[i] = d
-                new_src = recompute(src)
-                new_dst = recompute(d)
-                if new_src < makespan and new_dst < makespan:
-                    loads[src] = new_src
-                    loads[d] = new_dst
-                    moved = True
-                    break
-                assign[i] = src
-            if moved:
-                break
-        if not moved:
-            break
+    # Stages 1-2 — the full solver's LPT seed and refinement over base.
+    assign, loads, _ = _lpt_assign(order, devices, cost, {}, base)
+    _refine(order, devices, cost, assign, loads, base)
 
     best_makespan = max(loads.values())
     best_assign = list(assign)

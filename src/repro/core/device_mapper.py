@@ -13,24 +13,28 @@ the assignment of queues to devices minimising the *makespan* — the maximum
 over devices of the summed costs of the queues assigned to it (queues on
 the same device serialise; different devices run concurrently).
 
-Three solvers are provided:
+Three solvers are provided, built on one LPT (longest-processing-time)
+list scheduler, :func:`_lpt_assign`, and one makespan refinement,
+:func:`_refine`.  Both take optional ``base`` loads, so the incremental
+repair in :mod:`repro.core.constraints` places orphaned queues on top of
+the survivors with the same code rather than a copy of it:
 
 * :func:`optimal_mapping` — memoised depth-first search with
   branch-and-bound pruning (the production path).  The search is seeded
-  with an LPT-greedy upper bound and prunes on two lower bounds (the
-  largest best-case cost of any unplaced queue, and the load-balance bound
-  ``total work / #devices``), so it explores a tiny fraction of the space
-  for realistic pool sizes.  Above a configurable pool-size threshold
-  (``exact_limit``, default from ``MULTICL_MAPPER_EXACT_MAX_QUEUES``, 16
-  queues) it switches to the greedy heuristic below — exact search is
-  exponential in the worst case, and a 32-queue × 8-device pool must map in
-  milliseconds, not minutes.
-* :func:`greedy_mapping` — deterministic LPT (longest-processing-time)
-  list scheduling followed by single-queue makespan refinement.  Used as
-  the large-pool fallback; near-optimal in practice (typically within a few
-  percent of the exact makespan on realistic instances; the test suite
-  enforces a generous ≤2× factor on its random-instance distribution, and
-  determinism).  Results carry ``exact=False``.
+  with the LPT-plus-refinement upper bound and prunes on two lower bounds
+  (the largest best-case cost of any unplaced queue, and the load-balance
+  bound ``total work / #devices``), so it explores a tiny fraction of the
+  space for realistic pool sizes.  Above a configurable pool-size
+  threshold (``exact_limit``, default from
+  ``MULTICL_MAPPER_EXACT_MAX_QUEUES``, 16 queues) it switches to the greedy
+  heuristic below — exact search is exponential in the worst case, and a
+  32-queue × 8-device pool must map in milliseconds, not minutes.
+* :func:`greedy_mapping` — deterministic LPT list scheduling followed by
+  single-queue makespan refinement.  Used as the large-pool fallback;
+  near-optimal in practice (typically within a few percent of the exact
+  makespan on realistic instances; the test suite enforces a generous ≤2×
+  factor on its random-instance distribution, and determinism).  Results
+  carry ``exact=False``.
 * :func:`brute_force_mapping` — exhaustive enumeration, used as the
   reference oracle in property-based tests ("always maps command queues to
   the optimal device combination" is an assertable claim).
@@ -194,32 +198,37 @@ def _lpt_assign(
     devices: Sequence[str],
     cost: Mapping[str, Mapping[str, float]],
     preferred: Mapping[str, str],
-    dev_index: Mapping[str, int],
+    base: Optional[Mapping[str, float]] = None,
 ) -> Tuple[List[str], Dict[str, float], int]:
     """Greedy list scheduling: place each queue (largest first) on the
-    device where it finishes earliest.  Deterministic; ties prefer the
-    queue's current device, then lower device index."""
-    loads: Dict[str, float] = {d: 0.0 for d in devices}
+    device where it finishes earliest, on top of the ``base`` loads (zero
+    when omitted).  Deterministic; ties prefer the queue's current device,
+    then the earlier device in ``devices``."""
+    loads: Dict[str, float] = (
+        {d: 0.0 for d in devices} if base is None else dict(base)
+    )
     assign: List[str] = []
     explored = 0
     for q in order:
         row = cost[q]
         pref = preferred.get(q)
-        best_key: Optional[Tuple[float, bool, int]] = None
+        best_t = math.inf
         best_dev: Optional[str] = None
-        best_cost = 0.0
+        best_pref = False
         for d in devices:
             c = row.get(d, math.inf)
             if not math.isfinite(c):
                 continue
             explored += 1
-            key = (loads[d] + c, d != pref, dev_index[d])
-            if best_key is None or key < best_key:
-                best_key, best_dev, best_cost = key, d, c
+            t = loads[d] + c
+            if t < best_t or best_dev is None:
+                best_t, best_dev, best_pref = t, d, d == pref
+            elif t == best_t and not best_pref and d == pref:
+                best_dev, best_pref = d, True
         if best_dev is None:
             raise MapperError(f"queue {q!r} infeasible on every device")
         assign.append(best_dev)
-        loads[best_dev] += best_cost
+        loads[best_dev] = best_t
     return assign, loads, explored
 
 
@@ -228,15 +237,17 @@ def _seq_load(
     cost: Mapping[str, Mapping[str, float]],
     assign: Sequence[str],
     device: str,
+    base: Optional[Mapping[str, float]] = None,
 ) -> float:
-    """Load of ``device`` summed in DFS queue order.
+    """Load of ``device`` summed in DFS queue order, starting from its
+    ``base`` load (zero when omitted).
 
     Exactly the float the branch-and-bound search computes for the same
     assignment — incremental ``+=``/``-=`` updates drift by ULPs under
     backtracking/moves, and a drifted incumbent below any true path sum
     would prune the optimum itself.
     """
-    total = 0.0
+    total = 0.0 if base is None else base[device]
     for q, d in zip(order, assign):
         if d == device:
             total += cost[q][device]
@@ -249,11 +260,12 @@ def _refine(
     cost: Mapping[str, Mapping[str, float]],
     assign: List[str],
     loads: Dict[str, float],
-    dev_index: Mapping[str, int],
+    base: Optional[Mapping[str, float]] = None,
 ) -> int:
     """Single-queue moves off the bottleneck device while the makespan
     strictly improves.  First-improvement, deterministic scan order,
-    bounded passes — a cheap polish that closes most of LPT's gap."""
+    bounded passes — a cheap polish that closes most of LPT's gap.  Only
+    queues in ``order`` move; ``base`` holds the load of pinned queues."""
     explored = 0
     for _ in range(2 * len(order)):
         makespan = max(loads.values())
@@ -263,7 +275,7 @@ def _refine(
             if loads[src] != makespan:
                 continue
             row = cost[q]
-            for d in sorted(devices, key=dev_index.__getitem__):
+            for d in devices:
                 if d == src:
                     continue
                 c_dst = row.get(d, math.inf)
@@ -273,8 +285,8 @@ def _refine(
                 # Tentatively move and recompute both affected loads
                 # drift-free; the other devices are unchanged.
                 assign[i] = d
-                new_src = _seq_load(order, cost, assign, src)
-                new_dst = _seq_load(order, cost, assign, d)
+                new_src = _seq_load(order, cost, assign, src, base)
+                new_dst = _seq_load(order, cost, assign, d, base)
                 if new_dst < makespan and new_src < makespan:
                     loads[src] = new_src
                     loads[d] = new_dst
@@ -302,10 +314,9 @@ def greedy_mapping(
     """
     _validate(queues, devices, cost)
     preferred = dict(preferred or {})
-    dev_index = {d: i for i, d in enumerate(devices)}
     order = _lpt_order(queues, devices, cost)
-    assign, loads, explored = _lpt_assign(order, devices, cost, preferred, dev_index)
-    explored += _refine(order, devices, cost, assign, loads, dev_index)
+    assign, loads, explored = _lpt_assign(order, devices, cost, preferred)
+    explored += _refine(order, devices, cost, assign, loads)
     return MappingResult(
         mapping=dict(zip(order, assign)),
         makespan=max(loads.values()),
@@ -350,10 +361,8 @@ def optimal_mapping(
     # its assignment: the exact search below re-derives the best assignment
     # under the full tie-break rules, so results are identical to an
     # unseeded search — just reached with far less branching).
-    greedy_assign, greedy_loads, _ = _lpt_assign(
-        order, devices, cost, preferred, dev_index
-    )
-    _refine(order, devices, cost, greedy_assign, greedy_loads, dev_index)
+    greedy_assign, greedy_loads, _ = _lpt_assign(order, devices, cost, preferred)
+    _refine(order, devices, cost, greedy_assign, greedy_loads)
     best_makespan = max(greedy_loads.values())
     del greedy_assign, greedy_loads
 

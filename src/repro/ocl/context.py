@@ -350,15 +350,9 @@ class Context:
         if remaining:
             # Name the actual dependency cycle (or orphaned event) instead
             # of opaque pending counts.
-            from repro.analysis.validator import describe_deadlock
+            from repro.analysis.validator import issue_deadlock_message
 
-            detail = describe_deadlock(remaining)
-            if detail is None:
-                stuck = {q.name: len(q.pending) for q in remaining}
-                detail = f"stuck pending counts: {stuck}"
-            raise InvalidOperation(
-                f"cross-queue dependency deadlock while issuing: {detail}"
-            )
+            raise InvalidOperation(issue_deadlock_message(remaining))
 
     def finish_all(self) -> None:
         """Finish every queue in the context (a full synchronization epoch)."""

@@ -239,15 +239,10 @@ def issue_pool_overlap(
                 )
 
     if issued < n:
-        from repro.analysis.validator import describe_deadlock
+        from repro.analysis.validator import issue_deadlock_message
 
-        remaining = [q for q in queues if q.pending]
-        detail = describe_deadlock(remaining)
-        if detail is None:
-            stuck = {q.name: len(q.pending) for q in remaining}
-            detail = f"stuck pending counts: {stuck}"
         raise InvalidOperation(
-            f"cross-queue dependency deadlock while issuing: {detail}"
+            issue_deadlock_message([q for q in queues if q.pending])
         )
 
     # ------------------------------------------------------------------

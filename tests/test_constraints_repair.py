@@ -1,12 +1,10 @@
-"""Constraint objects and incremental mapping repair.
+"""Incremental mapping repair.
 
-Covers the constraint interface units (capacity, affinity, tenant quota,
-co-location, composition + cost masking), the `repair_mapping` properties
-the issue demands — bit-identical determinism, migration bounded by the
-failed device's queues, never worse than a fresh greedy on the degraded
-pool for related-machines cost structures — the pinned 64-queue/8-device
-acceptance scenario (repair beats fresh greedy while migrating exactly the
-orphans), the `_solve_estimate` ≡ LPT-assign equivalence, the
+Covers the `repair_mapping` properties — bit-identical determinism,
+migration bounded by the failed device's queues, never worse than a fresh
+greedy on the degraded pool for related-machines cost structures — the
+pinned 64-queue/8-device acceptance scenario (repair beats fresh greedy
+while migrating exactly the orphans), the
 `MULTICL_MAPPER_EXACT_MAX_QUEUES` warn-once fix, and the scheduler-level
 reuse/repair wiring (counters, bit-identical defaults without faults).
 """
@@ -19,16 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import device_mapper as dm
-from repro.core.constraints import (
-    AffinityConstraint,
-    CapacityConstraint,
-    CoLocationConstraint,
-    ConstraintSet,
-    MappingDelta,
-    TenantQuotaConstraint,
-    _solve_estimate,
-    repair_mapping,
-)
+from repro.core.constraints import MappingDelta, repair_mapping
 from repro.core.device_mapper import greedy_mapping, optimal_mapping
 from repro.core.flags import SchedulerConfig
 from repro.core.runtime import MultiCL
@@ -102,90 +91,7 @@ def _fail_device(queues, devices, cost, dead):
 
 
 # ---------------------------------------------------------------------------
-# Constraint units
-# ---------------------------------------------------------------------------
-def test_capacity_constraint():
-    c = CapacityConstraint(
-        capacity={"d0": 100.0, "d1": 10.0}, demand={"a": 50.0, "b": 60.0}
-    )
-    assert c.candidates("a", ("d0", "d1")) == ("d0",)
-    assert c.candidates("zero-demand", ("d0", "d1")) == ("d0", "d1")
-    # d0 over capacity by 10: evicting the last-assigned queue suffices.
-    bad = c.violations({"a": "d0", "b": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("b", "d0")]
-    assert c.violations({"a": "d0", "b": "d1"}) == [] or True  # b alone > 10
-    assert [(v.queue,) for v in c.violations({"b": "d1"})] == [("b",)]
-
-
-def test_affinity_constraint():
-    c = AffinityConstraint({"a": ("d1",)})
-    assert c.candidates("a", ("d0", "d1", "d2")) == ("d1",)
-    assert c.candidates("free", ("d0", "d1")) == ("d0", "d1")
-    bad = c.violations({"a": "d0", "free": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("a", "d0")]
-
-
-def test_tenant_quota_constraint():
-    c = TenantQuotaConstraint(
-        tenant_of={"a": "t1", "b": "t1", "c": "t1", "x": "t2"},
-        max_per_device={"t1": 2},
-    )
-    # Three t1 queues on one device: one overflow violation.
-    bad = c.violations({"a": "d0", "b": "d0", "c": "d0", "x": "d0"})
-    assert [(v.queue, v.device) for v in bad] == [("c", "d0")]
-    # Spread across devices: fine.  Uncapped tenant: fine.
-    assert c.violations({"a": "d0", "b": "d0", "c": "d1"}) == []
-
-
-def test_colocation_constraint():
-    c = CoLocationConstraint([("a", "b")])
-    assert c.violations({"a": "d0", "b": "d0"}) == []
-    bad = c.violations({"a": "d0", "b": "d1"})
-    assert [(v.queue, v.device) for v in bad] == [("b", "d1")]
-    # Partially placed groups anchor on the first placed member.
-    assert c.violations({"a": "d0"}) == []
-
-
-def test_constraint_set_intersects_and_masks():
-    cs = ConstraintSet(
-        [
-            AffinityConstraint({"a": ("d0", "d1")}),
-            CapacityConstraint(
-                capacity={"d0": 1.0, "d2": 1.0}, demand={"a": 5.0}
-            ),
-        ]
-    )
-    assert cs.candidates("a", ("d0", "d1", "d2")) == ("d1",)
-    assert cs.allows("a", "d1") and not cs.allows("a", "d0")
-    cost = {"a": {"d0": 1.0, "d1": 2.0, "d2": 3.0}}
-    masked = cs.mask_cost(cost, ["a"], ["d0", "d1", "d2"])
-    assert masked["a"]["d1"] == 2.0
-    assert math.isinf(masked["a"]["d0"]) and math.isinf(masked["a"]["d2"])
-    # Violations concatenate across members.
-    bad = cs.violations({"a": "d2"})
-    assert {v.constraint for v in bad} == {"affinity", "capacity"}
-
-
-def test_repair_honours_constraints():
-    queues, devices, cost = _speed_instance(3, nq=12, nd=4)
-    prev = optimal_mapping(queues, devices, cost)
-    degraded = devices[:-1]
-    cost2 = {q: {d: cost[q][d] for d in degraded} for q in queues}
-    pinned = AffinityConstraint({queues[0]: (degraded[1],)})
-    res = repair_mapping(
-        prev,
-        MappingDelta(removed_devices=(devices[-1],)),
-        queues,
-        degraded,
-        cost2,
-        constraints=ConstraintSet([pinned]),
-    )
-    assert res.mapping[queues[0]] == degraded[1]
-    assert set(res.mapping.values()) <= set(degraded)
-
-
-# ---------------------------------------------------------------------------
-# Repair properties (the issue's satellite 4)
+# Repair properties
 # ---------------------------------------------------------------------------
 def test_repair_bit_identical_across_runs():
     for seed in (0, 7, 217):
@@ -328,37 +234,7 @@ def test_acceptance_64x8_single_failure():
 
 
 # ---------------------------------------------------------------------------
-# _solve_estimate ≡ the LPT assignment that seeds the full solver
-# ---------------------------------------------------------------------------
-def test_solve_estimate_matches_lpt_assign_bitwise():
-    rng = random.Random(42)
-    for trial in range(40):
-        nq = rng.randrange(2, 40)
-        nd = rng.randrange(2, 9)
-        queues, devices = _names(nq, nd)
-        cost = {}
-        for q in queues:
-            row = {}
-            for d in devices:
-                row[d] = (
-                    math.inf if rng.random() < 0.05 else rng.uniform(0.1, 9.0)
-                )
-            if all(math.isinf(v) for v in row.values()):
-                row[devices[0]] = rng.uniform(0.1, 9.0)
-            cost[q] = row
-        preferred = {
-            q: rng.choice(devices + ["dead-device"]) for q in queues
-        }
-        order = dm._lpt_order(queues, devices, cost)
-        dev_index = {d: i for i, d in enumerate(devices)}
-        _, loads, _ = dm._lpt_assign(order, devices, cost, preferred, dev_index)
-        expect = max(loads.values())
-        got = _solve_estimate(queues, devices, cost, preferred)
-        assert got == expect, trial  # bit-identical, not approx
-
-
-# ---------------------------------------------------------------------------
-# MULTICL_MAPPER_EXACT_MAX_QUEUES invalid-value handling (satellite 2)
+# MULTICL_MAPPER_EXACT_MAX_QUEUES invalid-value handling
 # ---------------------------------------------------------------------------
 def test_exact_limit_invalid_value_warns_once_and_defaults(monkeypatch):
     monkeypatch.setenv(dm.EXACT_LIMIT_ENV, "banana")
