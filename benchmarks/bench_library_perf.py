@@ -7,6 +7,7 @@ a full scheduled epoch, and the vectorised NPB generator.
 """
 
 import math
+import random
 import time
 
 import pytest
@@ -71,6 +72,22 @@ def test_mapper_solve_32_queues_8_devices(benchmark):
     # Generous ceiling (covers warmup + all benchmark rounds): a single
     # solve is sub-millisecond, and the acceptance bar is < 100 ms.
     assert elapsed < 5.0
+
+
+def test_mapper_solve_16_queues_4_devices_ties(benchmark):
+    """Exact mapping at the default exact limit (16 queues) with integer
+    costs: many equal-makespan paths stay alive for the tie-break."""
+    rng = random.Random(3)
+    queues = [f"q{i}" for i in range(16)]
+    devices = [f"d{j}" for j in range(4)]
+    cost = {q: {d: float(rng.randint(1, 4)) for d in devices} for q in queues}
+
+    result = benchmark(optimal_mapping, queues, devices, cost)
+    assert result.exact
+    assert result.makespan == 7.0
+    assert result.explored == 195_368
+    loads = result.device_loads(cost)
+    assert max(loads.values()) == result.makespan
 
 
 def test_trace_query_throughput(benchmark):

@@ -81,6 +81,19 @@ def bench_mapper_solve_32x8() -> float:
     return result.makespan
 
 
+def bench_mapper_solve_16x4_ties() -> float:
+    """Exact search at its default queue limit on a tie-heavy pool: integer
+    costs keep many equal-makespan paths alive for the tie-break."""
+    import random
+
+    rng = random.Random(3)
+    queues = [f"q{i}" for i in range(16)]
+    devices = [f"d{j}" for j in range(4)]
+    cost = {q: {d: float(rng.randint(1, 4)) for d in devices} for q in queues}
+    result = optimal_mapping(queues, devices, cost)
+    return result.makespan
+
+
 def bench_trace_query() -> float:
     resources = [f"dev:{i}" for i in range(8)]
     categories = ("kernel", "transfer", "migration")
@@ -526,6 +539,7 @@ BENCHES = {
     "engine_event_throughput": bench_engine_event_throughput,
     "mapper_solve_8x4": bench_mapper_solve_8x4,
     "mapper_solve_32x8": bench_mapper_solve_32x8,
+    "mapper_solve_16x4_ties": bench_mapper_solve_16x4_ties,
     "mapper_repair": bench_mapper_repair,
     "trace_query": bench_trace_query,
     "full_scheduled_epoch": bench_full_scheduled_epoch,

@@ -11,17 +11,19 @@ else should stay put.
 :class:`~repro.core.device_mapper.MappingResult` plus a :class:`MappingDelta`
 (devices removed by a fault, queues arrived) and migrates only the
 *affected* queues: survivors keep their binding, and the affected queues
-are placed on top of the survivors' loads by the full solver's own LPT
-list scheduler and refinement, then by a bounded branch-and-bound over the
-affected subset alone.  The repaired assignment is accepted only when the
-affected-subset search completed within its node budget (the placement is
-then optimal over the pinned survivors), its makespan is no worse than a
-fresh solve estimate — the LPT list-scheduling bound that seeds the full
-solver, computed in O(Q·D) — and it stays within ``threshold`` × the
-capacity-scaled previous makespan; otherwise the repair *falls back to the
-full solve* (`optimal_mapping` with the surviving bindings as
-``preferred``), so a rejected repair is exactly a fresh solve and the
-caller never does worse than re-solving.
+are placed on top of the survivors' loads by the full solver's own exact
+search (:func:`~repro.core.device_mapper._search`: branch-and-bound with
+lower bounds and an LPT-plus-refinement seed, the survivors as ``base``
+loads, capped at a node budget).  Ties follow the full solver's rule:
+lower sum of squared loads (survivors included), then device order.  The
+repaired assignment is accepted only when the search completed within its
+node budget (the placement is then optimal over the pinned survivors), its
+makespan is no worse than a fresh solve estimate — the LPT list-scheduling
+bound that seeds the full solver, computed in O(Q·D) — and it stays within
+``threshold`` × the capacity-scaled previous makespan; otherwise the repair
+*falls back to the full solve* (`optimal_mapping` with the surviving
+bindings as ``preferred``), so a rejected repair is exactly a fresh solve
+and the caller never does worse than re-solving.
 
 Determinism: every scan below iterates queues and devices in caller order
 with explicit tie-breaks, and device loads are summed in a fixed queue
@@ -40,7 +42,7 @@ from repro.core.device_mapper import (
     MappingResult,
     _lpt_assign,
     _lpt_order,
-    _refine,
+    _search,
     _validate,
     optimal_mapping,
 )
@@ -98,7 +100,7 @@ def repair_mapping(
     pool.  Queues still bound to a surviving device where their cost is
     finite keep their binding; only the affected set — queues on removed
     devices, arrivals, and queues whose device became infeasible — is
-    re-placed (see :func:`_place_affected`).
+    re-placed, by the exact search over the affected queues alone.
 
     Decision rule (documented in DESIGN.md §11): the repair is **accepted**
     iff the affected-subset search completed within ``node_budget`` and its
@@ -143,9 +145,11 @@ def repair_mapping(
         if d is not None:
             base[d] += cost[q][d]
 
-    placed, repair_makespan, explored, complete = _place_affected(
-        affected, devices, cost, base, node_budget
+    order = _lpt_order(affected, devices, cost)
+    assign, repair_makespan, explored, complete = _search(
+        order, devices, cost, {}, base, node_budget
     )
+    placed = dict(zip(order, assign))
 
     migrated = tuple(
         sorted(q for q in affected if prev.mapping.get(q) != placed[q])
@@ -206,113 +210,3 @@ def repair_mapping(
         ),
     )
 
-
-def _place_affected(
-    affected: Sequence[str],
-    devices: Sequence[str],
-    cost: Mapping[str, Mapping[str, float]],
-    base: Mapping[str, float],
-    node_budget: int,
-) -> Tuple[Dict[str, str], float, int, bool]:
-    """Place ``affected`` onto ``base`` loads minimising the makespan.
-
-    Three stages, cheapest first; survivors never move, so the migration
-    set stays exactly the affected set:
-
-    1. The full solver's LPT list scheduler (:func:`_lpt_assign`) over the
-       affected queues, on top of the surviving loads.
-    2. The full solver's refinement (:func:`_refine`): single-queue moves
-       off the bottleneck device while the makespan strictly improves.
-    3. Depth-first branch-and-bound over the affected queues, seeded with
-       the incumbent from (2), pruned by the same suffix-max and
-       load-balance lower bounds as the exact mapper, and capped at
-       ``node_budget`` explored nodes.
-
-    Stages 1 and 2 add nothing to ``explored``.  Returns ``(placement,
-    makespan, explored, complete)`` where ``complete`` is True iff the
-    search exhausted the subtree within its budget — the placement is then
-    optimal given the pinned survivors.  Loads are recomputed from
-    ``base`` by summation in a fixed order (save/restore, never ``-=``),
-    so results are bit-identical across runs.
-    """
-    if not affected:
-        makespan = max(base.values()) if base else 0.0
-        return {}, makespan, 0, True
-
-    order = _lpt_order(affected, devices, cost)
-    n = len(order)
-    # Stages 1-2 — the full solver's LPT seed and refinement over base.
-    assign, loads, _ = _lpt_assign(order, devices, cost, {}, base)
-    _refine(order, devices, cost, assign, loads, base)
-
-    best_makespan = max(loads.values())
-    best_assign = list(assign)
-
-    # Stage 3 — bounded exact search.  suffix_max: some unplaced queue
-    # costs at least this wherever it lands; the load-balance bound spreads
-    # the best-case remaining work over all devices (both admissible, same
-    # as the exact mapper's bounds).
-    min_cost = [
-        min(
-            c
-            for c in (cost[q].get(d, math.inf) for d in devices)
-            if math.isfinite(c)
-        )
-        for q in order
-    ]
-    suffix_max = [0.0] * (n + 1)
-    suffix_sum = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = max(min_cost[i], suffix_max[i + 1])
-        suffix_sum[i] = suffix_sum[i + 1] + min_cost[i]
-    n_devices = len(devices)
-    base_total = sum(base[d] for d in devices)
-
-    explored = 0
-    loads = dict(base)
-    node: List[str] = [""] * n
-    tol = 1.0 + _REL_TOL
-
-    def rec(i: int, current_max: float, placed_total: float) -> None:
-        nonlocal best_makespan, best_assign, explored
-        if explored >= node_budget:
-            return
-        if i == n:
-            if current_max < best_makespan:
-                best_makespan = current_max
-                best_assign = list(node)
-            return
-        lb = suffix_max[i]
-        avg = (base_total + placed_total + suffix_sum[i]) / n_devices
-        if avg > lb:
-            lb = avg
-        if current_max > lb:
-            lb = current_max
-        if lb > best_makespan * tol:
-            return
-        q = order[i]
-        row = cost[q]
-        for d in devices:
-            c = row.get(d, math.inf)
-            if not math.isfinite(c):
-                continue
-            explored += 1
-            old = loads[d]
-            new = old + c
-            if new > best_makespan * tol:
-                continue
-            node[i] = d
-            loads[d] = new
-            rec(i + 1, current_max if current_max > new else new,
-                placed_total + c)
-            loads[d] = old
-            node[i] = ""
-
-    rec(0, max(base.values()) if base else 0.0, 0.0)
-    complete = explored < node_budget
-
-    # Recompute the winning makespan drift-free from base in order-sequence.
-    final = dict(base)
-    for q, d in zip(order, best_assign):
-        final[d] += cost[q][d]
-    return dict(zip(order, best_assign)), max(final.values()), explored, complete

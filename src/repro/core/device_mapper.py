@@ -14,18 +14,19 @@ over devices of the summed costs of the queues assigned to it (queues on
 the same device serialise; different devices run concurrently).
 
 Three solvers are provided, built on one LPT (longest-processing-time)
-list scheduler, :func:`_lpt_assign`, and one makespan refinement,
-:func:`_refine`.  Both take optional ``base`` loads, so the incremental
-repair in :mod:`repro.core.constraints` places orphaned queues on top of
-the survivors with the same code rather than a copy of it:
+list scheduler, :func:`_lpt_assign`, one makespan refinement,
+:func:`_refine`, and one exact search, :func:`_search`.  All three take
+optional ``base`` loads, so the incremental repair in
+:mod:`repro.core.constraints` places orphaned queues on top of the
+survivors with the same code rather than a copy of it:
 
-* :func:`optimal_mapping` — memoised depth-first search with
-  branch-and-bound pruning (the production path).  The search is seeded
-  with the LPT-plus-refinement upper bound and prunes on two lower bounds
-  (the largest best-case cost of any unplaced queue, and the load-balance
-  bound ``total work / #devices``), so it explores a tiny fraction of the
-  space for realistic pool sizes.  Above a configurable pool-size
-  threshold (``exact_limit``, default from
+* :func:`optimal_mapping` — exact depth-first branch-and-bound (the
+  production path; the paper's "dynamic programming" is this search).  The
+  incumbent is seeded with the LPT-plus-refinement makespan and nodes are
+  pruned on two lower bounds (the largest best-case cost of any unplaced
+  queue, and the load-balance bound ``total work / #devices``), so it
+  explores a tiny fraction of the space for realistic pool sizes.  Above a
+  configurable pool-size threshold (``exact_limit``, default from
   ``MULTICL_MAPPER_EXACT_MAX_QUEUES``, 16 queues) it switches to the greedy
   heuristic below — exact search is exponential in the worst case, and a
   32-queue × 8-device pool must map in milliseconds, not minutes.
@@ -40,8 +41,10 @@ the survivors with the same code rather than a copy of it:
   the optimal device combination" is an assertable claim).
 
 Infeasible pairs (e.g. the data does not fit in device memory) carry
-``math.inf`` cost.  Ties are broken toward each queue's current device (to
-avoid gratuitous migrations), then toward lower device index.
+``math.inf`` cost.  Equal-makespan ties are broken toward keeping each
+queue on its current device (to avoid gratuitous migrations), then toward
+better balance (lower sum of squared device loads), then toward lower
+device index.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def _lpt_order(
     """Queues by decreasing best-case cost (LPT; also the DFS order)."""
     return sorted(
         queues,
-        key=lambda q: -min(cost[q].get(d, math.inf) for d in devices),
+        key=lambda q: -min(map(cost[q].get, devices, itertools.repeat(math.inf))),
     )
 
 
@@ -335,9 +338,9 @@ def optimal_mapping(
     """Exact makespan-minimising assignment with pruning.
 
     ``preferred`` maps queue → its current device; among equal-makespan
-    solutions the one keeping more queues on their preferred device (and
-    then using lexicographically earlier devices) wins, avoiding pointless
-    migrations.
+    solutions the one keeping more queues on their preferred device (then
+    the better balanced one, then the one using lexicographically earlier
+    devices) wins, avoiding pointless migrations.  See :func:`_search`.
 
     Pools with more than ``exact_limit`` queues (default: the
     ``MULTICL_MAPPER_EXACT_MAX_QUEUES`` env var, else 16) are solved by
@@ -350,130 +353,134 @@ def optimal_mapping(
         exact_limit = _exact_limit()
     if len(queues) > exact_limit:
         return greedy_mapping(queues, devices, cost, preferred)
-    # Order queues by decreasing best-case cost: placing the expensive,
-    # constrained queues first makes pruning effective.
     order = _lpt_order(queues, devices, cost)
+    assign, makespan, explored, _ = _search(order, devices, cost, preferred)
+    return MappingResult(
+        mapping=dict(zip(order, assign)), makespan=makespan, explored=explored
+    )
+
+
+def _search(
+    order: Sequence[str],
+    devices: Sequence[str],
+    cost: Mapping[str, Mapping[str, float]],
+    preferred: Mapping[str, str],
+    base: Optional[Mapping[str, float]] = None,
+    budget: Optional[int] = None,
+) -> Tuple[List[str], float, int, bool]:
+    """Exact branch-and-bound placement of ``order`` on top of ``base``.
+
+    Depth-first over the queues in ``order`` (decreasing best-case cost, so
+    the expensive, constrained queues are placed first), with the device
+    loads starting at ``base`` (zero when omitted; survivors pinned by a
+    repair).  The incumbent makespan is seeded with the LPT-plus-refinement
+    bound — its loads are summed in this same order, so the seed's own path
+    is never pruned — and a node is pruned when its largest load exceeds
+    the incumbent or a lower bound on any completion does.
+
+    Among equal-makespan assignments the winner has, in order: fewer
+    queues moved off their ``preferred`` device; lower sum of squared
+    device loads (``base`` included, so idle twins get used); the earlier
+    device-index tuple.  Each queue tries its preferred device first.
+
+    The search stops once ``budget`` nodes are explored (unbounded when
+    None).  Returns ``(assign, makespan, explored, complete)`` with
+    ``assign`` aligned to ``order``; ``complete`` is True iff the search
+    finished within the budget, so the assignment is optimal.  A budget
+    spent before the first leaf returns the seed.
+    """
     n = len(order)
-    dev_index = {d: i for i, d in enumerate(devices)}
     n_devices = len(devices)
+    seed_assign, seed_loads, _ = _lpt_assign(order, devices, cost, preferred, base)
+    _refine(order, devices, cost, seed_assign, seed_loads, base)
+    best_makespan = max(seed_loads.values())
+    limit = math.inf if budget is None else budget
 
-    # Seed the incumbent makespan with the LPT-greedy upper bound (but not
-    # its assignment: the exact search below re-derives the best assignment
-    # under the full tie-break rules, so results are identical to an
-    # unseeded search — just reached with far less branching).
-    greedy_assign, greedy_loads, _ = _lpt_assign(order, devices, cost, preferred)
-    _refine(order, devices, cost, greedy_assign, greedy_loads)
-    best_makespan = max(greedy_loads.values())
-    del greedy_assign, greedy_loads
-
-    # Per-queue best-case cost and suffix lower bounds over the DFS order:
-    # suffix_max[i] = the largest best-case cost among unplaced queues
-    # (some device must take at least that); suffix_sum[i] = total
+    # Per queue, its finite (device index, cost, moves-off-preferred)
+    # options, preferred device first, and the suffix lower bounds over
+    # the order: suffix_max[i] = the largest best-case cost among unplaced
+    # queues (some device must take at least that); suffix_sum[i] = total
     # best-case work still to place (the load-balance bound divides the
     # grand total across all devices).
-    min_cost = {
-        q: min(c for c in (cost[q].get(d, math.inf) for d in devices)
-               if math.isfinite(c))
-        for q in order
-    }
+    cands: List[List[Tuple[int, float, int]]] = []
+    min_cost: List[float] = []
+    for q in order:
+        row = cost[q]
+        pref = preferred.get(q)
+        opts = []
+        mc = math.inf
+        for k, d in enumerate(devices):
+            c = row.get(d, math.inf)
+            if math.isfinite(c):
+                opts.append((k, c, int(pref is not None and d != pref)))
+                if c < mc:
+                    mc = c
+        if pref is not None:
+            opts.sort(key=lambda o: o[2])
+        cands.append(opts)
+        min_cost.append(mc)
     suffix_max = [0.0] * (n + 1)
     suffix_sum = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        mc = min_cost[order[i]]
+        mc = min_cost[i]
         suffix_max[i] = mc if mc > suffix_max[i + 1] else suffix_max[i + 1]
         suffix_sum[i] = suffix_sum[i + 1] + mc
 
-    best_assign: Optional[List[str]] = None
-    best_score: Tuple[int, float, Tuple[int, ...]] = (0, 0.0, ())
+    loads = [0.0] * n_devices if base is None else [base[d] for d in devices]
+    assigned_total = 0.0 if base is None else sum(loads)
+    assign = [0] * n
+    # (moves, sum of squared loads, device-index tuple) of the incumbent.
+    best_score: Optional[Tuple[int, float, Tuple[int, ...]]] = None
     explored = 0
-    loads: Dict[str, float] = {d: 0.0 for d in devices}
-    assigned_total = 0.0
-    assign: List[str] = [""] * n
-    seen: Dict[Tuple[int, Tuple[float, ...]], float] = {}
+    tol = 1.0 + 1e-12
 
-    def tie_score(assignment: Sequence[str]) -> Tuple[int, float, Tuple[int, ...]]:
-        """Among equal-makespan assignments prefer, in order: fewer
-        migrations away from current bindings; better load balance (lower
-        sum of squared device loads — so idle twins get used); and finally
-        a deterministic device order."""
-        migrations = sum(
-            1 for q, d in zip(order, assignment) if preferred.get(q) not in (None, d)
-        )
-        balance = sum(v * v for v in loads.values())
-        return (migrations, balance, tuple(dev_index[d] for d in assignment))
-
-    def rec(i: int, current_max: float) -> None:
-        nonlocal best_makespan, best_assign, best_score, explored, assigned_total
-        if current_max > best_makespan:
+    def rec(i: int, current_max: float, moves: int) -> None:
+        nonlocal best_makespan, best_score, explored, assigned_total
+        if explored >= limit:
             return
         if i == n:
-            score = tie_score(assign)
-            if current_max < best_makespan or (
-                current_max == best_makespan
-                and (best_assign is None or score < best_score)
-            ):
-                best_makespan = current_max
-                best_assign = list(assign)
-                best_score = score
+            # Children are tested before recursing, so current_max is at
+            # most the incumbent; on a tie the lower score wins.
+            tied = best_score is not None and current_max == best_makespan
+            if tied and moves > best_score[0]:
+                return
+            score = (moves, sum(v * v for v in loads), tuple(assign))
+            if tied and not score < best_score:
+                return
+            best_makespan, best_score = current_max, score
             return
         # Lower-bound prune (strict: equal-makespan completions must stay
-        # reachable for the tie-break): some unplaced queue costs at least
-        # suffix_max[i] wherever it lands, and the total work placed so far
-        # plus the best-case remainder averaged over all devices bounds the
-        # final max load from below.  The average is summed in a different
-        # order than the incumbent's device loads, so it can land a few ULPs
-        # above an exactly-tight optimum — the relative tolerance keeps such
-        # paths alive (pruning less never costs exactness).
+        # reachable for the tie-break).  The average is summed in a
+        # different order than the incumbent's device loads, so it can land
+        # a few ULPs above an exactly-tight optimum — the relative tolerance
+        # keeps such paths alive (pruning less never costs exactness).
         lb = suffix_max[i]
         avg = (assigned_total + suffix_sum[i]) / n_devices
         if avg > lb:
             lb = avg
-        if lb > best_makespan * (1.0 + 1e-12):
+        if lb > best_makespan * tol:
             return
-        # Memoisation on (queue index, per-device load vector): identical
-        # residual subproblems cannot improve — this is the "dynamic
-        # programming" over partial load states.  The vector keeps device
-        # identity (costs are device-dependent, so sorting loads would
-        # conflate genuinely different states).
-        state = (i, tuple(loads[d] for d in devices))
-        prev = seen.get(state)
-        # Strict inequality: a revisit at *equal* makespan must still be
-        # explored, or the migration-avoiding tie-break could be pruned
-        # away (leaving, e.g., two queues piled on one GPU while its twin
-        # idles, despite equal makespan).
-        if prev is not None and prev < current_max:
-            return
-        seen[state] = current_max
-        q = order[i]
-        # Try the preferred device first so ties resolve without migration.
-        cand = sorted(
-            devices,
-            key=lambda d: (d != preferred.get(q), dev_index[d]),
-        )
-        for d in cand:
-            c = cost[q].get(d, math.inf)
-            if not math.isfinite(c):
-                continue
+        for k, c, move in cands[i]:
             explored += 1
-            assign[i] = d
             # Save/restore instead of += / -=: float addition is not exactly
             # reversible, and a few ULPs of backtracking drift would push
-            # completions past the greedy-seeded incumbent and prune the
+            # completions past the seeded incumbent and prune the
             # (tied-)optimal assignment itself.
-            old_load, old_total = loads[d], assigned_total
-            loads[d] = old_load + c
+            old_load = loads[k]
+            new_load = old_load + c
+            new_max = new_load if new_load > current_max else current_max
+            if new_max > best_makespan:
+                continue
+            old_total = assigned_total
+            assign[i] = k
+            loads[k] = new_load
             assigned_total = old_total + c
-            rec(i + 1, max(current_max, loads[d]))
-            loads[d] = old_load
+            rec(i + 1, new_max, moves + move)
+            loads[k] = old_load
             assigned_total = old_total
-            assign[i] = ""
-        return
 
-    rec(0, 0.0)
-    if best_assign is None:
-        raise MapperError("no feasible assignment")
-    return MappingResult(
-        mapping=dict(zip(order, best_assign)),
-        makespan=best_makespan,
-        explored=explored,
-    )
+    rec(0, max(loads), 0)
+    complete = explored < limit
+    if best_score is None:
+        return seed_assign, best_makespan, explored, complete
+    return [devices[k] for k in best_score[2]], best_makespan, explored, complete

@@ -15,6 +15,8 @@ from repro.core.device_mapper import (
     EXACT_LIMIT_ENV,
     MapperError,
     MappingResult,
+    _lpt_order,
+    _search,
     brute_force_mapping,
     greedy_mapping,
     optimal_mapping,
@@ -148,6 +150,54 @@ def test_optimal_matches_brute_force(n_queues, n_devices, data):
     # The returned mapping actually achieves the claimed makespan.
     loads = opt.device_loads(cost)
     assert max(loads.values()) == pytest.approx(opt.makespan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_queues=st.integers(min_value=0, max_value=6),
+    n_devices=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_search_is_exact_on_top_of_base(n_queues, n_devices, data):
+    """The one exact search (full solves and repairs) minimises the makespan
+    over the free queues *on top of* the pinned ``base`` loads, and breaks
+    ties by (sum of squared loads, device-index tuple) — checked against
+    brute force over every assignment of the free queues."""
+    queues = [f"q{i}" for i in range(n_queues)]
+    devices = [f"d{i}" for i in range(n_devices)]
+    costs = st.one_of(
+        st.integers(min_value=1, max_value=4).map(float),
+        st.floats(min_value=0.1, max_value=9.0),
+        st.just(math.inf),
+    )
+    cost = {q: {d: data.draw(costs, label=f"{q}/{d}") for d in devices}
+            for q in queues}
+    for q in queues:
+        if not any(math.isfinite(c) for c in cost[q].values()):
+            cost[q][devices[0]] = 1.0
+    base = {
+        d: data.draw(st.integers(min_value=0, max_value=6).map(float),
+                     label=f"base/{d}")
+        for d in devices
+    }
+    order = _lpt_order(queues, devices, cost)
+
+    best = None
+    for combo in itertools.product(range(n_devices), repeat=n_queues):
+        loads = [base[d] for d in devices]
+        # Summed in search order from base, so the floats match bit for bit.
+        for q, k in zip(order, combo):
+            loads[k] += cost[q][devices[k]]
+        if not all(math.isfinite(v) for v in loads):
+            continue
+        key = (max(loads), sum(v * v for v in loads), combo)
+        if best is None or key < best:
+            best = key
+
+    assign, makespan, _, complete = _search(order, devices, cost, {}, base)
+    assert complete
+    assert makespan == best[0]
+    assert tuple(devices.index(d) for d in assign) == best[2]
 
 
 @settings(max_examples=100, deadline=None)

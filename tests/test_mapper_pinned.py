@@ -1,11 +1,16 @@
 """Mapper results pinned bit for bit over seeded random instances.
 
 `greedy_mapping`, `optimal_mapping` and `repair_mapping` share one LPT
-list scheduler and one refinement.  Any change to their tie rules, their
-float summation order or their node counts shows up here: the test hashes
-the ``repr`` of every `MappingResult` (mapping order, makespan bits,
-``explored``, flags, migrated queues) over a few thousand instances and
-compares the SHA-256 with a pinned digest.
+list scheduler, one refinement and one exact search.  Any change to their
+tie rules, their float summation order or their node counts shows up here:
+the test hashes the ``repr`` of every `MappingResult` (mapping order,
+makespan bits, ``explored``, flags, migrated queues) over a few thousand
+instances and compares the SHA-256 with a pinned digest.
+
+Two narrower digests pin what a change to the repair's tie rule must not
+move: every full-solve result (``greedy_mapping``/``optimal_mapping``,
+``explored`` included), and every repair result with its ``mapping``
+stripped (makespan, nodes, flags and migrated queues).
 
 The instances cover integer costs (many ties), ``inf`` entries, preferred
 devices outside the pool, arrivals (``added_queues``), device loss, repair
@@ -16,9 +21,11 @@ digest with ``PYTHONPATH=src python tests/test_mapper_pinned.py`` and say
 why in the change log.
 """
 
+import functools
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 from repro.core.constraints import MappingDelta, repair_mapping
 from repro.core.device_mapper import MapperError, greedy_mapping, optimal_mapping
@@ -27,7 +34,13 @@ INSTANCES = 3000
 MAX_EXACT_QUEUES = 12
 PINNED_RESULTS = 11131
 PINNED_DIGEST = (
-    "b0e9f4f34d73ec2b688f0dd4f5d64f8f2422a85167ae4475048529045be2a409"
+    "3c05b7bff2e71b53760f7b76a6ff2e2704414eb16db94409363e68aea2856533"
+)
+PINNED_SOLVE_DIGEST = (
+    "992407b133484984facc731d25baa82013e60de0bd60e97a4e7c76c81e250cff"
+)
+PINNED_REPAIR_OUTCOME_DIGEST = (
+    "90eb1c5d6502d7ce19e0dd2e6f7a36d4287fb0c5d6ed3490bcd381cd03be452d"
 )
 
 
@@ -65,13 +78,15 @@ def _instance(rng):
 
 
 def _results(rng):
-    """Yield the repr of every mapper result on one random instance."""
+    """Yield ``(kind, result)`` for every mapper result on one random
+    instance: kind ``"solve"`` or ``"repair"``, result a `MappingResult`
+    or the repair's `MapperError`."""
     queues, devices, cost, preferred = _instance(rng)
-    yield repr(greedy_mapping(queues, devices, cost, preferred))
+    yield "solve", greedy_mapping(queues, devices, cost, preferred)
     prev = optimal_mapping(
         queues, devices, cost, preferred, exact_limit=MAX_EXACT_QUEUES
     )
-    yield repr(prev)
+    yield "solve", prev
 
     # Repair: some queues arrive after the previous solve, and (with more
     # than one device) one device is lost.
@@ -81,7 +96,7 @@ def _results(rng):
         prev = optimal_mapping(
             old, devices, cost, exact_limit=MAX_EXACT_QUEUES
         )
-        yield repr(prev)
+        yield "solve", prev
     added = tuple(queues[len(queues) - n_added:])
     removed = ()
     pool = devices
@@ -99,21 +114,43 @@ def _results(rng):
             threshold=threshold, node_budget=budget,
         )
     except MapperError as exc:
-        yield f"MapperError({exc})"
+        yield "repair", exc
         return
-    yield repr(res)
+    yield "repair", res
+
+
+def _line(result, strip_mapping=False):
+    if isinstance(result, MapperError):
+        return f"MapperError({result})"
+    if strip_mapping:
+        result = replace(result, mapping={})
+    return repr(result)
+
+
+@functools.lru_cache(maxsize=None)
+def mapper_digests(instances=INSTANCES, seed=20261018):
+    """``{"full", "solve", "repair_outcome"}`` -> ``(sha256, count)``."""
+    rng = random.Random(seed)
+    hashes = {k: hashlib.sha256() for k in ("full", "solve", "repair_outcome")}
+    counts = dict.fromkeys(hashes, 0)
+
+    def add(key, line):
+        hashes[key].update(line.encode())
+        hashes[key].update(b"\n")
+        counts[key] += 1
+
+    for _ in range(instances):
+        for kind, result in _results(rng):
+            add("full", _line(result))
+            if kind == "solve":
+                add("solve", _line(result))
+            else:
+                add("repair_outcome", _line(result, strip_mapping=True))
+    return {k: (h.hexdigest(), counts[k]) for k, h in hashes.items()}
 
 
 def mapper_digest(instances=INSTANCES, seed=20261018):
-    rng = random.Random(seed)
-    h = hashlib.sha256()
-    count = 0
-    for _ in range(instances):
-        for line in _results(rng):
-            h.update(line.encode())
-            h.update(b"\n")
-            count += 1
-    return h.hexdigest(), count
+    return mapper_digests(instances, seed)["full"]
 
 
 def test_mapper_results_pinned():
@@ -122,5 +159,16 @@ def test_mapper_results_pinned():
     assert digest == PINNED_DIGEST
 
 
+def test_solve_results_pinned():
+    digest, _ = mapper_digests()["solve"]
+    assert digest == PINNED_SOLVE_DIGEST
+
+
+def test_repair_outcomes_pinned():
+    digest, _ = mapper_digests()["repair_outcome"]
+    assert digest == PINNED_REPAIR_OUTCOME_DIGEST
+
+
 if __name__ == "__main__":
-    print(*mapper_digest())
+    for name, (digest, count) in mapper_digests().items():
+        print(name, digest, count)
